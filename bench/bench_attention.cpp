@@ -37,8 +37,9 @@
  * configuration that produced it — gemm_backend ("avx2" or "scalar",
  * override with VITALITY_GEMM), pool_threads (worker count),
  * gemm_threads (the intra-GEMM row-band width the main thread would
- * fan out, after the VITALITY_THREADS cap), epilogue ("fused",
- * "unfused", or "fast"; VITALITY_EPILOGUE), sparse_mode ("csr" or
+ * fan out, after the VITALITY_THREADS cap), epilogue ("fused" or
+ * "unfused"; VITALITY_EPILOGUE, where "fast" is a synonym of "fused"
+ * and so records as "fused"), sparse_mode ("csr" or
  * "dense", VITALITY_SPARSE), and quant_mode ("off" or "int8",
  * VITALITY_QUANT) — so the regression checker only compares runs
  * from matching configurations. Results are appended as

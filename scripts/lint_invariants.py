@@ -36,6 +36,13 @@ Checks (each violation is reported as file:line and fails the run):
      other). tests/ and bench/ are exempt.
   6. Header-guard convention: src/<dir>/<name>.h (and tests/*.h) use
      #ifndef VITALITY_<DIR>_<NAME>_H.
+  7. No libm transcendental (std::tanh, std::exp, std::erf, tanhf,
+     expf, ...) in the GEMM write-back sources (src/tensor/gemm*.cpp
+     and gemm*.h). The epilogue's GELU is the polynomial program of
+     geluScalar / geluApprox8, which the AVX2 backends run in
+     registers; a per-element library call there would both cost a
+     store/call/reload per element and break the scalar == vector
+     bitwise contract.
 
 Run from anywhere: paths resolve relative to the repo root.
 """
@@ -328,6 +335,28 @@ def check_header_guards():
                     report(path, 1, f"missing include guard {guard}")
 
 
+# --- Rule 7: no libm transcendental in the GEMM write-back ---------------
+
+LIBM_TRANSCENDENTAL = re.compile(
+    r"(?<![\w.>])(?:std::)?"
+    r"((?:a?(?:sin|cos|tan)h?|atan2|exp|exp2|expm1|log|log2|log10|log1p|"
+    r"pow|erf|erfc|tgamma|lgamma|cbrt)[fl]?)\s*\(")
+
+
+def check_epilogue_libm():
+    tensor = os.path.join(REPO, "src", "tensor")
+    for name in sorted(os.listdir(tensor)):
+        if not (name.startswith("gemm") and name.endswith((".cpp", ".h"))):
+            continue
+        path = os.path.join(tensor, name)
+        text = strip_comments(open(path).read())
+        for m in LIBM_TRANSCENDENTAL.finditer(text):
+            report(path, line_of(text, m.start()),
+                   f"libm transcendental {m.group(1)}() in a GEMM "
+                   "write-back source; use the polynomial programs "
+                   "(geluScalar / tensor/avx2_math.h)")
+
+
 def main():
     check_hot_path_allocations()
     check_backend_containment()
@@ -337,6 +366,7 @@ def main():
     check_avx2_pairing()
     check_layering()
     check_header_guards()
+    check_epilogue_libm()
     if violations:
         for v in violations:
             print(v)

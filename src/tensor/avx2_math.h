@@ -6,16 +6,18 @@
  * and int8 AVX2 backends); the functions use the AVX2 ISA
  * unconditionally and rely on the caller's runtime CPUID dispatch.
  *
- * Lane-for-lane the same program as the scalar exp2Core /
- * tanhApproxCore / geluApproxScalar in tensor/ops.cpp: identical
- * constants (tensor/transcendental.h), identical operation order, and
+ * Lane-for-lane the same program as the scalar exp2CoreScalar /
+ * tanhApproxCore / geluScalar in tensor/ops.cpp: identical constants
+ * (tensor/transcendental.h), identical operation order, and
  * deliberately plain mul/add — no _mm256_fmadd_ps — because the scalar
  * fallback (baseline ISA, -ffp-contract=off) rounds every product and
- * sum separately, and the fast GELU's bitwise contract is that full
- * tiles (these vectors) and ragged edges (epilogueApplyRow ->
- * geluApproxScalar) produce identical bits. The max/min clamps rely on
- * the documented vmaxps/vminps NaN-takes-the-second-operand semantics,
- * which the scalar selects mirror.
+ * sum separately, and the GELU's bitwise contract is that full tiles
+ * (these vectors), ragged edges (epilogueApplyRow -> geluScalar), the
+ * scalar backend and geluInto all produce identical bits. No libm
+ * call appears anywhere in the GELU, so it stays in registers. The
+ * max/min clamps rely on the documented vmaxps/vminps
+ * NaN-takes-the-second-operand semantics, which the scalar selects
+ * mirror.
  */
 
 #ifndef VITALITY_TENSOR_AVX2_MATH_H

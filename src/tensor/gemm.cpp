@@ -478,7 +478,7 @@ Gemm::multiply(Matrix &dst, const Matrix &a, const PackedMatrix &b,
 
 void
 Gemm::multiplyImpl(Matrix &dst, const Matrix &a, const Matrix &b,
-                   Trans trans, const Epilogue &epilogue, Backend backend,
+                   Trans trans, const Epilogue &ep, Backend backend,
                    const float *packedB)
 {
     // Guard the explicit-backend path too: without this, requesting
@@ -489,13 +489,6 @@ Gemm::multiplyImpl(Matrix &dst, const Matrix &a, const Matrix &b,
             strfmt("gemm: backend %s is not available on this host",
                    backendName(backend)));
     }
-    // Fast mode executes Gelu epilogues as GeluFast (the vectorized
-    // polynomial tanh); an explicitly requested GeluFast act is always
-    // honored regardless of mode.
-    Epilogue ep = epilogue;
-    if (ep.act == Epilogue::Act::Gelu &&
-        epilogueMode() == EpilogueMode::FusedFast)
-        ep.act = Epilogue::Act::GeluFast;
     const GemmDims dims = checkedDims(a, b, trans);
     // Matrix always owns its storage, so object identity is the only
     // possible aliasing.
@@ -629,7 +622,7 @@ Gemm::multiply(Matrix &dst, const QuantizedMatrix &a,
 void
 Gemm::multiplyImplInt8(Matrix &dst, const QuantizedMatrix &a,
                        const QuantizedMatrix &b, Trans trans,
-                       const Epilogue &epilogue, Backend backend,
+                       const Epilogue &ep, Backend backend,
                        const int8_t *packedB, const int32_t *packedWsum)
 {
     if (!available(backend)) {
@@ -637,10 +630,6 @@ Gemm::multiplyImplInt8(Matrix &dst, const QuantizedMatrix &a,
             strfmt("gemm: backend %s is not available on this host",
                    backendName(backend)));
     }
-    Epilogue ep = epilogue;
-    if (ep.act == Epilogue::Act::Gelu &&
-        epilogueMode() == EpilogueMode::FusedFast)
-        ep.act = Epilogue::Act::GeluFast;
     // The integer core's saturation-freedom and zero-point algebra
     // assume A in the [0, 127] activation domain and B symmetric with
     // zero point 0; a per-row quantized A under Trans::A would hand
@@ -891,7 +880,7 @@ Gemm::epilogueMode()
                 resolved = static_cast<int>(*wanted);
             } else {
                 warn("VITALITY_EPILOGUE=%s not recognized (want "
-                     "fused|unfused|fast); using fused",
+                     "fused|unfused); using fused",
                      env);
             }
         }
@@ -918,8 +907,6 @@ Gemm::epilogueModeName(EpilogueMode mode)
         return "fused";
     case EpilogueMode::Unfused:
         return "unfused";
-    case EpilogueMode::FusedFast:
-        return "fast";
     }
     return "unknown";
 }
@@ -927,12 +914,10 @@ Gemm::epilogueModeName(EpilogueMode mode)
 std::optional<Gemm::EpilogueMode>
 Gemm::parseEpilogueMode(const std::string &name)
 {
-    if (name == "fused")
+    if (name == "fused" || name == "fast")
         return EpilogueMode::Fused;
     if (name == "unfused")
         return EpilogueMode::Unfused;
-    if (name == "fast")
-        return EpilogueMode::FusedFast;
     return std::nullopt;
 }
 

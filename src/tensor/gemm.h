@@ -45,13 +45,12 @@
  * backend — asserted by test_gemm for every epilogue combination on
  * both backends, and the basis on which VitEncoder's fused rewrite
  * kept all of its bitwise batch/sequential parity guarantees. The
- * VITALITY_EPILOGUE environment variable ("fused", the default,
- * "unfused", or "fast") or setEpilogueMode() force the unfused
- * fallback path — a bench/debug lever, not a numerics one, precisely
- * because those two modes agree bitwise — or the fast mode, which
- * additionally swaps the GELU's std::tanh for the vectorized
- * polynomial tanhApprox (tensor/ops.h; <= 4e-7 absolute error, the
- * one mode that is a numerics lever, and an opt-in one).
+ * VITALITY_EPILOGUE environment variable ("fused", the default, or
+ * "unfused") or setEpilogueMode() force the unfused fallback path — a
+ * bench/debug lever, not a numerics one, precisely because the two
+ * modes agree bitwise. There is one GELU program (geluScalar,
+ * tensor/ops.h: the polynomial tanh form), which the AVX2 write-backs
+ * run in registers lane-for-lane, so no mode changes the numerics.
  *
  * Numerical contract (the documented cross-backend tolerance): both
  * backends accumulate every output element as a single running sum over
@@ -191,16 +190,6 @@ class Gemm
         {
             None, ///< Identity.
             Gelu, ///< tanh-approximation GELU (geluScalar in tensor/ops.h).
-            /**
-             * GELU with the polynomial tanhApprox inside
-             * (geluApproxScalar in tensor/ops.h): vectorized in the
-             * AVX2 write-back, bitwise-identical to the scalar
-             * fallback on every backend and edge path, within the
-             * documented 4e-7 tanh bound of Act::Gelu. Normally
-             * selected via VITALITY_EPILOGUE=fast rather than
-             * requested directly.
-             */
-            GeluFast,
         };
 
         /**
@@ -244,20 +233,13 @@ class Gemm
     };
 
     /**
-     * "fused" (default), "unfused", or "fast" — see VITALITY_EPILOGUE
-     * above. Fast is fused plus the vectorized polynomial tanh in the
-     * GELU: Act::Gelu epilogues are executed as Act::GeluFast. Unlike
-     * the fused/unfused pair (bitwise-identical), fast trades the
-     * documented tanhApprox bound (<= 4e-7 absolute, tensor/ops.h)
-     * for skipping a std::tanh per MLP-hidden element; the fast
-     * path is still deterministic and bitwise-identical across
-     * backends' epilogue application.
+     * "fused" (default) or "unfused" — see VITALITY_EPILOGUE above.
+     * The two are bitwise-identical.
      */
     enum class EpilogueMode
     {
         Fused,   ///< Post-ops applied in the backend's write-back.
         Unfused, ///< Plain GEMM to scratch + separate epilogue pass.
-        FusedFast, ///< Fused, with Gelu executed as GeluFast.
     };
 
     /**
@@ -420,10 +402,14 @@ class Gemm
     /** Force the epilogue mode (test/bench hook). */
     static void setEpilogueMode(EpilogueMode mode);
 
-    /** "fused", "unfused", or "fast", for bench/trajectory reporting. */
+    /** "fused" or "unfused", for bench/trajectory reporting. */
     static const char *epilogueModeName(EpilogueMode mode);
 
-    /** Parse a VITALITY_EPILOGUE value; nullopt on unrecognized text. */
+    /**
+     * Parse a VITALITY_EPILOGUE value; nullopt on unrecognized text.
+     * "fast" still parses, as a synonym of "fused": the polynomial GELU
+     * it once selected is now the only GELU, so both name one program.
+     */
     static std::optional<EpilogueMode>
     parseEpilogueMode(const std::string &name);
 
@@ -460,7 +446,7 @@ class Gemm
      */
     static void multiplyImpl(Matrix &dst, const Matrix &a,
                              const Matrix &b, Trans trans,
-                             const Epilogue &epilogue, Backend backend,
+                             const Epilogue &ep, Backend backend,
                              const float *packedB);
 
     /**
@@ -470,7 +456,7 @@ class Gemm
      */
     static void multiplyImplInt8(Matrix &dst, const QuantizedMatrix &a,
                                  const QuantizedMatrix &b, Trans trans,
-                                 const Epilogue &epilogue,
+                                 const Epilogue &ep,
                                  Backend backend, const int8_t *packedB,
                                  const int32_t *packedWsum);
 };

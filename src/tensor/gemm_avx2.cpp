@@ -45,11 +45,12 @@
  *     scratch tile and copy only the valid region, so C is never read
  *     or written out of bounds.
  *   - On the final kc chunk the Epilogue (row-broadcast bias, tanh
- *     GELU, accumulate-into-C) is applied in the tile's write-back —
- *     one store pass instead of separate bias/activation/residual
- *     sweeps over the finished output. With an accumulate epilogue the
- *     inter-chunk partials are staged in a scratch band so the old C
- *     (the residual stream) survives until that final fused store.
+ *     GELU in registers, accumulate-into-C) is applied in the tile's
+ *     write-back — one store pass instead of separate bias/activation/
+ *     residual sweeps over the finished output. With an accumulate
+ *     epilogue the inter-chunk partials are staged in a scratch band so
+ *     the old C (the residual stream) survives until that final fused
+ *     store.
  *
  * Only rows [rowBegin, rowEnd) of C are computed, so the dispatcher can
  * fan microkernel-aligned row bands across a thread pool; rowBegin is
@@ -76,7 +77,7 @@ namespace detail {
 // Panel geometry (kMr, kNr, kKc, kNc) and the packAPanel/packBPanel
 // helpers live in tensor/gemm_pack.h, shared with the weight-prepack
 // path so both produce byte-identical panels. The vectorized
-// polynomial GELU (Act::GeluFast) and its exp2/tanh cores live in
+// polynomial GELU (geluApprox8) and its exp2/tanh cores live in
 // tensor/avx2_math.h, shared with the int8 backend so both write-backs
 // run the identical bitwise program.
 
@@ -138,6 +139,71 @@ softmaxRowsApproxAvx2(Matrix &dst, const Matrix &a)
                 out + j, _mm256_mul_ps(_mm256_loadu_ps(out + j), vinv));
         for (; j < n; ++j)
             out[j] *= inv;
+    }
+}
+
+/**
+ * 8-lane twin of the scalar layerNormRowsInto loop in tensor/ops.cpp
+ * (which dispatches here when the AVX2 backend is active). The mean and
+ * variance sums run the documented lane-grouped order — one ymm
+ * accumulator over the whole 8-column groups, the pairwise fold
+ * ((0+4) + (2+6)) + ((1+5) + (3+7)), then the tail in order — and the
+ * normalize pass is element-wise, so every element equals the scalar
+ * loop's bit for bit.
+ */
+void
+layerNormRowsAvx2(Matrix &dst, const Matrix &a, const Matrix &gamma,
+                  const Matrix &beta, float eps)
+{
+    const size_t n = a.cols();
+    const float inv_n = 1.0f / static_cast<float>(n);
+    const float *grow = gamma.rowPtr(0);
+    const float *brow = beta.rowPtr(0);
+    const auto fold = [](__m256 v) {
+        __m128 m = _mm_add_ps(_mm256_castps256_ps128(v),
+                              _mm256_extractf128_ps(v, 1));
+        m = _mm_add_ps(m, _mm_movehl_ps(m, m));
+        m = _mm_add_ss(m, _mm_shuffle_ps(m, m, 1));
+        return _mm_cvtss_f32(m);
+    };
+    for (size_t r = 0; r < a.rows(); ++r) {
+        const float *in = a.rowPtr(r);
+        float *out = dst.rowPtr(r);
+
+        __m256 acc = _mm256_setzero_ps();
+        size_t c = 0;
+        for (; c + 8 <= n; c += 8)
+            acc = _mm256_add_ps(acc, _mm256_loadu_ps(in + c));
+        float sum = fold(acc);
+        for (; c < n; ++c)
+            sum += in[c];
+        const float mean_r = sum * inv_n;
+
+        const __m256 vmean = _mm256_set1_ps(mean_r);
+        acc = _mm256_setzero_ps();
+        for (c = 0; c + 8 <= n; c += 8) {
+            const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(in + c), vmean);
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
+        }
+        float sq = fold(acc);
+        for (; c < n; ++c) {
+            const float d = in[c] - mean_r;
+            sq += d * d;
+        }
+        const float var_r = sq * inv_n;
+        const float inv_std = 1.0f / std::sqrt(var_r + eps);
+
+        const __m256 vinv = _mm256_set1_ps(inv_std);
+        for (c = 0; c + 8 <= n; c += 8) {
+            const __m256 t = _mm256_mul_ps(
+                _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(in + c), vmean),
+                              vinv),
+                _mm256_loadu_ps(grow + c));
+            _mm256_storeu_ps(out + c,
+                             _mm256_add_ps(t, _mm256_loadu_ps(brow + c)));
+        }
+        for (; c < n; ++c)
+            out[c] = (in[c] - mean_r) * inv_std * grow[c] + brow[c];
     }
 }
 
@@ -268,11 +334,9 @@ microKernel6x16(size_t k, const float *pa, const float *pb,
  * edges go through the shared scalar helper (gemm_epilogue.h). The two
  * agree bitwise because a vector float add is the same rounding as a
  * scalar float add lane by lane — the vector path is the one
- * intentional second copy of the canonical element order. The exact
- * GELU (Act::Gelu) stays scalar — it is a std::tanh per element in
- * every path, fused or not — while Act::GeluFast runs the vectorized
- * polynomial above, whose lanes are bitwise-equal to the
- * geluApproxScalar fallback by construction.
+ * intentional second copy of the canonical element order. The GELU
+ * runs in registers (geluApprox8), whose lanes are bitwise-equal to
+ * geluScalar by construction.
  */
 void
 epilogueStoreTile(float *tile, Matrix &dst, size_t i0, size_t j0,
@@ -286,7 +350,7 @@ epilogueStoreTile(float *tile, Matrix &dst, size_t i0, size_t j0,
             b1 = _mm256_loadu_ps(bias + 8);
         }
         for (size_t r = 0; r < mEff; ++r) {
-            float *src = tile + r * kNr;
+            const float *src = tile + r * kNr;
             __m256 v0 = _mm256_loadu_ps(src);
             __m256 v1 = _mm256_loadu_ps(src + 8);
             if (bias) {
@@ -294,16 +358,6 @@ epilogueStoreTile(float *tile, Matrix &dst, size_t i0, size_t j0,
                 v1 = _mm256_add_ps(v1, b1);
             }
             if (ep.act == Gemm::Epilogue::Act::Gelu) {
-                _mm256_storeu_ps(src, v0);
-                _mm256_storeu_ps(src + 8, v1);
-                for (size_t c = 0; c < kNr; ++c)
-                    src[c] = geluScalar(src[c]);
-                v0 = _mm256_loadu_ps(src);
-                v1 = _mm256_loadu_ps(src + 8);
-            } else if (ep.act == Gemm::Epilogue::Act::GeluFast) {
-                // In-register polynomial GELU: no std::tanh, no store
-                // round-trip; bitwise-equal to geluApproxScalar per
-                // lane (see the vector-program comment above).
                 v0 = geluApprox8(v0);
                 v1 = geluApprox8(v1);
             }

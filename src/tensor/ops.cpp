@@ -45,7 +45,42 @@ requireColVector(const Matrix &a, const Matrix &v, const char *op)
     }
 }
 
+/**
+ * Sum of f(c) over c in [0, n) in the lane-grouped order documented at
+ * layerNormRows (tensor/ops.h): eight strided accumulators over the
+ * whole 8-column groups, a fixed pairwise fold, then the tail in order.
+ * layerNormRowsAvx2 runs the same order in one ymm register.
+ */
+template <class F>
+float
+laneGroupedSum(size_t n, F f)
+{
+    float lane[8] = {};
+    size_t c = 0;
+    for (; c + 8 <= n; c += 8)
+        for (size_t l = 0; l < 8; ++l)
+            lane[l] += f(c + l);
+    float s = ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+              ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+    for (; c < n; ++c)
+        s += f(c);
+    return s;
+}
+
 } // namespace
+
+#if VITALITY_HAVE_AVX2
+namespace detail {
+// Defined in gemm_avx2.cpp (compiled with -mavx2 -mfma); only called
+// after the Gemm dispatcher's runtime CPUID check selected the AVX2
+// backend. Bitwise-identical to the scalar loops by the shared
+// lane-program contract (and, for maxAbs, exact associativity of max).
+void softmaxRowsApproxAvx2(Matrix &dst, const Matrix &a);
+void layerNormRowsAvx2(Matrix &dst, const Matrix &a, const Matrix &gamma,
+                       const Matrix &beta, float eps);
+float maxAbsAvx2(const float *data, size_t count);
+} // namespace detail
+#endif
 
 // --- matmul family ----------------------------------------------------------
 //
@@ -472,24 +507,30 @@ layerNormRowsInto(Matrix &dst, const Matrix &a, const Matrix &gamma,
                         check::allFinite(beta.data(), beta.size()),
                     "layerNormRows: non-finite gamma/beta");
     dst.resize(a.rows(), a.cols());
-    const float inv_n = 1.0f / static_cast<float>(a.cols());
+#if VITALITY_HAVE_AVX2
+    // The 8-lane row kernel runs the documented lane-grouped order in
+    // registers, so the result does not depend on the backend.
+    if (Gemm::active() == Gemm::Backend::Avx2) {
+        detail::layerNormRowsAvx2(dst, a, gamma, beta, eps);
+        return;
+    }
+#endif
+    const size_t n = a.cols();
+    const float inv_n = 1.0f / static_cast<float>(n);
     const float *grow = gamma.rowPtr(0);
     const float *brow = beta.rowPtr(0);
     for (size_t r = 0; r < a.rows(); ++r) {
         const float *in = a.rowPtr(r);
         float *out = dst.rowPtr(r);
-        float mean_r = 0.0f;
-        for (size_t c = 0; c < a.cols(); ++c)
-            mean_r += in[c];
-        mean_r *= inv_n;
-        float var_r = 0.0f;
-        for (size_t c = 0; c < a.cols(); ++c) {
-            const float d = in[c] - mean_r;
-            var_r += d * d;
-        }
-        var_r *= inv_n;
+        const float mean_r =
+            laneGroupedSum(n, [&](size_t c) { return in[c]; }) * inv_n;
+        const float var_r = laneGroupedSum(n, [&](size_t c) {
+                                const float d = in[c] - mean_r;
+                                return d * d;
+                            }) *
+                            inv_n;
         const float inv_std = 1.0f / std::sqrt(var_r + eps);
-        for (size_t c = 0; c < a.cols(); ++c)
+        for (size_t c = 0; c < n; ++c)
             out[c] = (in[c] - mean_r) * inv_std * grow[c] + brow[c];
     }
 }
@@ -519,23 +560,15 @@ expElem(const Matrix &a)
     return c;
 }
 
-float
-geluScalar(float x)
-{
-    const float kSqrt2OverPi = 0.7978845608f;
-    const float inner = kSqrt2OverPi * (x + 0.044715f * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(inner));
-}
-
 // --- polynomial transcendentals ---------------------------------------------
 //
-// The exp2 core shared by expApprox / tanhApprox / softmaxRowsApprox.
-// Every step is a plain IEEE mul/add/compare (no FMA, no library
-// call), so the sequence rounds identically wherever it is
-// instantiated — which is what lets the AVX2 row kernels in
-// gemm_avx2.cpp (the GELU epilogue, the approx softmax, the
-// quantizer) replicate it lane by lane and stay bitwise-equal to
-// these scalar fallbacks. Rounding to nearest-even uses the
+// The exp2 core shared by expApprox / tanhApprox / geluScalar /
+// softmaxRowsApprox. Every step is a plain IEEE mul/add/compare (no
+// FMA, no library call), so the sequence rounds identically wherever
+// it is instantiated — which is what lets the AVX2 lane programs
+// (tensor/avx2_math.h: both GEMM write-backs' GELU and the approx
+// softmax) replicate it lane by lane and stay bitwise-equal to these
+// scalar fallbacks. Rounding to nearest-even uses the
 // 1.5 * 2^23 magic-number trick instead of nearbyint, keeping the
 // program free of rounding-mode library calls on every path.
 
@@ -570,15 +603,6 @@ exp2CoreScalar(float z)
     return p * scale;
 }
 
-#if VITALITY_HAVE_AVX2
-// Defined in gemm_avx2.cpp (compiled with -mavx2 -mfma); only called
-// after the Gemm dispatcher's runtime CPUID check selected the AVX2
-// backend. Bitwise-identical to the scalar loops by the shared
-// lane-program contract (and, for maxAbs, exact associativity of max).
-void softmaxRowsApproxAvx2(Matrix &dst, const Matrix &a);
-float maxAbsAvx2(const float *data, size_t count);
-#endif
-
 } // namespace detail
 
 namespace {
@@ -611,10 +635,10 @@ tanhApprox(float x)
 }
 
 float
-geluApproxScalar(float x)
+geluScalar(float x)
 {
-    // Same inner-polynomial order as the AVX2 lane program in
-    // gemm_avx2.cpp: x^3 as (x * x) * x, inner as
+    // The AVX2 lane program (geluApprox8 in tensor/avx2_math.h) runs
+    // this exact order: x^3 as (x * x) * x, inner as
     // kGeluSqrt2OverPi * (x + kGeluCubic * x^3), result as
     // (0.5 * x) * (1 + tanh).
     const float x3 = (x * x) * x;

@@ -38,15 +38,26 @@ namespace vitality {
 /**
  * Tanh-approximation GELU, the variant ViT/DeiT checkpoints use:
  *   0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
+ * with the tanh evaluated by the polynomial exp2 core below (tanhApprox)
+ * in a fixed mul/add order: x^3 as (x * x) * x, the result as
+ * (0.5 * x) * (1 + tanh(inner)). The AVX2 GEMM write-backs run the
+ * identical program lane by lane (geluApprox8 in tensor/avx2_math.h), so
+ * every GELU in the library — full tiles, ragged edges, the scalar
+ * backend, geluInto and the unfused epilogue — produces the same bits.
+ *
+ * Accuracy against the float64 tanh-GELU (swept in test_ops):
+ * |geluScalar(x) - gelu64(x)| <= 4e-7 * (1 + |x| / 2), the tanhApprox
+ * bound carried through the outer 0.5 x (1 + t) form (measured worst
+ * 4.3e-7 at x ~ 4.7, a third of the bound there). Special values: +/-0
+ * map to themselves, NaN propagates, +inf -> +inf, and every
+ * x <= -10 gives -0 (-inf, like the std::tanh form, gives NaN).
+ *
  * Deliberately defined once in ops.cpp (baseline ISA) rather than
- * inline: the GEMM backends call it from their fused write-back, and
- * an inline definition would also be emitted by the -mavx2 -mfma
- * translation unit — in unoptimized builds the linker may then keep
+ * inline: the GEMM backends call it from their ragged-edge write-back,
+ * and an inline definition would also be emitted by the -mavx2 -mfma
+ * translation units — in unoptimized builds the linker may then keep
  * that VEX-encoded copy for every caller, breaking the scalar path on
- * hosts the runtime CPUID dispatch exists to support. The call cost is
- * noise next to the std::tanh inside, and a single definition makes
- * "fused epilogue matches the ops-layer GELU bitwise" true by
- * construction.
+ * hosts the runtime CPUID dispatch exists to support.
  */
 float geluScalar(float x);
 
@@ -55,13 +66,13 @@ float geluScalar(float x);
  *
  * One exp2 core — round-to-nearest argument split 2^z = 2^n * 2^f,
  * f in [-0.5, 0.5], degree-7 polynomial for 2^f, exponent-bit scale by
- * 2^n — backs all three functions. They exist because std::exp /
- * std::tanh are the encoder's largest non-GEMM costs (the predictor's
- * n^2 softmax and the GELU epilogue); the approximations are branch-free
- * mul/add/min/max sequences that auto-vectorize, and the AVX2 GELU
- * epilogue (gemm_avx2.cpp) replicates the exact same operation order
- * lane by lane, so the vector path and this scalar fallback are
- * bitwise-identical (asserted in test_gemm).
+ * 2^n — backs these functions and geluScalar. They exist because
+ * std::exp / std::tanh would be the encoder's largest non-GEMM costs
+ * (the predictor's n^2 softmax and the GELU epilogue); the
+ * approximations are branch-free mul/add/min/max sequences that
+ * auto-vectorize, and the AVX2 kernels (tensor/avx2_math.h) replicate
+ * the exact same operation order lane by lane, so the vector paths and
+ * these scalar fallbacks are bitwise-identical (asserted in test_gemm).
  *
  * Accuracy (verified over dense sweeps in test_ops):
  *   - expApprox: relative error <= 1e-5 over [-87, 87] and <= 6e-7
@@ -75,9 +86,8 @@ float geluScalar(float x);
  * NaN does not propagate through expApprox / tanhApprox themselves
  * (NaN clamps like -inf), tanhApprox(-0) is +0, and expApprox
  * flushes to 2^-126 instead of 0 at the underflow end. Exact softmax
- * paths (SoftmaxAttention, maskedSoftmax*) keep std::exp; only the
- * quantized Sanger prediction front-end and the opt-in fast GELU
- * epilogue (VITALITY_EPILOGUE=fast) use these.
+ * paths (SoftmaxAttention, maskedSoftmax*) keep std::exp; the
+ * quantized Sanger prediction front-end and geluScalar use these.
  */
 /// @{
 
@@ -86,13 +96,6 @@ float expApprox(float x);
 
 /** tanh(x) = (e^2x - 1) / (e^2x + 1) via the exp2 core. */
 float tanhApprox(float x);
-
-/**
- * Tanh-approximation GELU with tanhApprox inside — the fast twin of
- * geluScalar, used by the GEMM write-back under VITALITY_EPILOGUE=fast
- * (and its bitwise scalar reference on every backend and edge path).
- */
-float geluApproxScalar(float x);
 
 /**
  * Row-wise softmax with expApprox inside — the low-precision softmax
@@ -211,6 +214,11 @@ float sparsity(const Matrix &a);
  * Row-wise layer normalization:
  *   dst(r, :) = (a(r, :) - mean_r) / sqrt(var_r + eps) .* gamma + beta
  * with gamma and beta 1 x cols row vectors (the affine parameters).
+ * The mean and variance sums are lane-grouped: column c feeds
+ * accumulator c % 8 over the whole 8-column groups, the eight lanes fold
+ * pairwise ((0+4) + (2+6)) + ((1+5) + (3+7)), and the tail columns add
+ * on in order. The AVX2 row kernel (used when the AVX2 GEMM backend is
+ * active) runs that order in registers, so both give the same bits.
  */
 Matrix layerNormRows(const Matrix &a, const Matrix &gamma,
                      const Matrix &beta, float eps = 1e-5f);

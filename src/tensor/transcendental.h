@@ -2,9 +2,9 @@
  * @file
  * Shared constants of the polynomial transcendental core.
  *
- * The scalar programs live in tensor/ops.cpp (exp2Core and friends,
- * baseline ISA, single out-of-line definitions) and the AVX2 lane
- * programs in tensor/gemm_avx2.cpp; both must execute the exact same
+ * The scalar programs live in tensor/ops.cpp (exp2CoreScalar and
+ * friends, baseline ISA, single out-of-line definitions) and the AVX2
+ * lane programs in tensor/avx2_math.h; both must execute the exact same
  * operation sequence over the exact same constants for the documented
  * scalar == vector bitwise contract to hold, so the constants live
  * here, once. Only constexpr values — no functions — so including

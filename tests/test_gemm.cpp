@@ -15,14 +15,17 @@
  * scalar and plumbing checks, so the fallback is tested everywhere.
  */
 
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "attention/zoo.h"
+#include "base/check.h"
 #include "base/rng.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
@@ -384,10 +387,9 @@ testFusedEpilogueParity()
 
     Rng rng(0x6e66);
     Matrix a, b, fused, ref, fusedViaMode;
-    // This test pins the exact-GELU fused/unfused contract, so it must
-    // not run under the fast mode (which deliberately swaps the GELU);
-    // pin Fused here and restore the run's mode (possibly the env
-    // override under test, e.g. VITALITY_EPILOGUE=unfused) at the end.
+    // Pin Fused here (the mode the fused side of each comparison needs)
+    // and restore the run's mode (possibly the env override under test,
+    // e.g. VITALITY_EPILOGUE=unfused) at the end.
     const Gemm::EpilogueMode modeBefore = Gemm::epilogueMode();
     Gemm::setEpilogueMode(Gemm::EpilogueMode::Fused);
     size_t combos = 0;
@@ -451,28 +453,32 @@ testFusedEpilogueParity()
 }
 
 /**
- * The fast-GELU epilogue (Act::GeluFast / VITALITY_EPILOGUE=fast):
- * bitwise-equal to applying geluApproxScalar per element after the
- * bias — on both backends, across full 8-lane tiles and ragged edges
- * (the AVX2 write-back vectorizes full tiles and falls back to the
- * scalar helper on edges; the contract is that nobody can tell), and
- * whether requested explicitly or via the mode knob rewriting Gelu.
+ * The GELU epilogue (Act::Gelu, the one GELU program): bitwise-equal to
+ * applying geluScalar per element after the bias — on both backends,
+ * across full 8-lane tiles and ragged edges (the AVX2 write-back runs
+ * the geluApprox8 lanes on full tiles and falls back to the scalar
+ * helper on edges; the contract is that nobody can tell), and whether
+ * requested through withBiasGelu or under the legacy "fast" mode name,
+ * which now parses to the same fused program.
  */
 void
-testFastGeluEpilogue()
+testGeluEpilogueProgram()
 {
     struct Shape
     {
         size_t m, n, k;
     };
     // n = 16 exercises pure full tiles, the others ragged columns; the
-    // last is the MLP hidden shape where the fast path matters.
+    // last is the MLP hidden shape.
     const std::vector<Shape> shapes = {
         {1, 1, 1}, {6, 16, 8}, {7, 19, 5}, {12, 32, 64}, {29, 61, 197}};
 
     Rng rng(0x6e88);
     const Gemm::EpilogueMode modeBefore = Gemm::epilogueMode();
-    Matrix a, b, product, fast, viaMode, expect;
+    const std::optional<Gemm::EpilogueMode> fastName =
+        Gemm::parseEpilogueMode("fast");
+    T_CHECK(fastName == Gemm::EpilogueMode::Fused);
+    Matrix a, b, product, fused, viaMode, expect;
     for (const Shape &s : shapes) {
         makeOperands(a, b, Gemm::Trans::None, s.m, s.n, s.k, rng);
         const Matrix bias = Matrix::randn(1, s.n, rng);
@@ -483,21 +489,18 @@ testFastGeluEpilogue()
             Gemm::setEpilogueMode(Gemm::EpilogueMode::Fused);
             Gemm::multiply(product, a, b, Gemm::Trans::None, backend);
 
-            // The documented element order with the approx activation.
+            // The documented element order.
             expect.resize(s.m, s.n);
             for (size_t i = 0; i < s.m; ++i)
                 for (size_t j = 0; j < s.n; ++j)
-                    expect(i, j) =
-                        geluApproxScalar(product(i, j) + bias(0, j));
+                    expect(i, j) = geluScalar(product(i, j) + bias(0, j));
 
-            Gemm::Epilogue ep = Gemm::Epilogue::withBias(bias);
-            ep.act = Gemm::Epilogue::Act::GeluFast;
-            Gemm::multiply(fast, a, b, Gemm::Trans::None, ep, backend);
-            T_CHECK(fast == expect);
+            Gemm::multiply(fused, a, b, Gemm::Trans::None,
+                           Gemm::Epilogue::withBiasGelu(bias), backend);
+            T_CHECK(fused == expect);
 
-            // Mode knob: a plain Gelu epilogue under fast mode runs
-            // the same program.
-            Gemm::setEpilogueMode(Gemm::EpilogueMode::FusedFast);
+            // Mode knob: the legacy "fast" name runs the same program.
+            Gemm::setEpilogueMode(*fastName);
             Gemm::multiply(viaMode, a, b, Gemm::Trans::None,
                            Gemm::Epilogue::withBiasGelu(bias), backend);
             T_CHECK(viaMode == expect);
@@ -505,15 +508,65 @@ testFastGeluEpilogue()
         }
     }
 
-    // Scalar and AVX2 backends agree bitwise on the *activation* (the
-    // raw products differ by FMA rounding, so compare the epilogue on
-    // an identical product): feed the same matrix through a k=0-style
-    // identity by using the scalar product as both backends' input via
-    // the expect matrices above — already covered; here just confirm
-    // the mode knob parses/round-trips.
-    Gemm::setEpilogueMode(Gemm::EpilogueMode::FusedFast);
+    // "fast" is a synonym, not a mode of its own: it reports as fused.
+    Gemm::setEpilogueMode(*fastName);
     T_CHECK(std::string(Gemm::epilogueModeName(Gemm::epilogueMode())) ==
-            "fast");
+            "fused");
+    Gemm::setEpilogueMode(modeBefore);
+}
+
+/**
+ * Special values through the 8-lane GELU: a k = 1 product of a ones
+ * column and a value row is exact on both backends (1 * v + 0), so the
+ * write-back sees v itself. Columns 0..15 run the AVX2 full-tile lanes,
+ * 16..19 the scalar ragged edge; every lane must equal geluScalar(v)
+ * (NaN as NaN), i.e. +0 stays +0, NaN propagates, +inf stays +inf and
+ * x <= -10 is zero. (-0 cannot reach the activation through a product:
+ * the accumulator's +0 absorbs it; test_ops pins geluScalar(-0).)
+ * Checked builds reject non-finite operands at dispatch by contract,
+ * so there only the finite values run.
+ */
+void
+testGeluEpilogueSpecialValues()
+{
+    // Each part (full tile, ragged edge) carries every special value.
+    const float nan = checkedBuild() ? 1.0f : NAN;
+    const float inf = checkedBuild() ? 3.5f : INFINITY;
+    const std::vector<float> values = {
+        0.0f,  -10.0f, -10.5f, -37.0f,  -1e4f,  -1e30f, -FLT_MAX,
+        nan,   -1.0f,  inf,    -4.25f,  1e30f,  FLT_MAX, 0.125f,
+        -6.0f, 2.0f,   nan,    inf,     -10.0f, 0.0f};
+    const size_t n = values.size();
+    const Matrix ones = Matrix::ones(6, 1);
+    Matrix row(1, n);
+    for (size_t j = 0; j < n; ++j)
+        row(0, j) = values[j];
+    const Gemm::EpilogueMode modeBefore = Gemm::epilogueMode();
+    Gemm::setEpilogueMode(Gemm::EpilogueMode::Fused);
+    Gemm::Epilogue gelu;
+    gelu.act = Gemm::Epilogue::Act::Gelu;
+    Matrix out;
+    for (Gemm::Backend backend :
+         {Gemm::Backend::Scalar, Gemm::Backend::Avx2}) {
+        if (backend == Gemm::Backend::Avx2 && !avx2Here())
+            continue;
+        Gemm::multiply(out, ones, row, Gemm::Trans::None, gelu, backend);
+        for (size_t i = 0; i < out.rows(); ++i) {
+            for (size_t j = 0; j < n; ++j) {
+                const float want = geluScalar(values[j]);
+                const float got = out(i, j);
+                T_CHECK(std::isnan(want) ? std::isnan(got) : got == want);
+                if (std::isnan(values[j]))
+                    T_CHECK(std::isnan(got));
+                if (values[j] == INFINITY)
+                    T_CHECK(got == INFINITY);
+                if (values[j] <= -10.0f)
+                    T_CHECK(got == 0.0f);
+                if (values[j] == 0.0f)
+                    T_CHECK(got == 0.0f && !std::signbit(got));
+            }
+        }
+    }
     Gemm::setEpilogueMode(modeBefore);
 }
 
@@ -623,7 +676,8 @@ main()
     testDeepKCacheBlocking();
     testDeepNCacheBlocking();
     testFusedEpilogueParity();
-    testFastGeluEpilogue();
+    testGeluEpilogueProgram();
+    testGeluEpilogueSpecialValues();
     testEpilogueValidation();
     testForwardBatchCrossBackendParity();
     return vitality::testing::finish("test_gemm");

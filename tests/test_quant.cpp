@@ -340,18 +340,18 @@ testEpilogueParity()
     const Matrix bias = Matrix::randn(1, n, rng, 0.0f, 0.3f);
     const Matrix seed = Matrix::randn(m, n, rng, 0.0f, 0.5f);
 
-    // An explicitly requested GeluFast act is honored in every
-    // epilogue mode, and on the AVX2 path it runs the geluApprox8
-    // vector program — the parity loop below pins it bitwise against
-    // the scalar backend's geluApproxScalar.
-    Gemm::Epilogue biasGeluFast = Gemm::Epilogue::withBiasGelu(bias);
-    biasGeluFast.act = Gemm::Epilogue::Act::GeluFast;
+    // The GELU act runs the geluApprox8 vector program on the AVX2
+    // path in every epilogue mode — the parity loop below pins it
+    // bitwise against the scalar backend's geluScalar, with and
+    // without a residual accumulate after it.
+    const Gemm::Epilogue accumulateBiasGelu{true, &bias,
+                                            Gemm::Epilogue::Act::Gelu};
 
     const Gemm::Epilogue epilogues[] = {
         Gemm::Epilogue{},
         Gemm::Epilogue::withBias(bias),
         Gemm::Epilogue::withBiasGelu(bias),
-        biasGeluFast,
+        accumulateBiasGelu,
         Gemm::Epilogue::accumulateWithBias(bias),
     };
     std::vector<Gemm::Backend> backends{Gemm::Backend::Scalar};

@@ -244,8 +244,9 @@ testParseHelpers()
             Gemm::EpilogueMode::Fused);
     T_CHECK(Gemm::parseEpilogueMode("unfused") ==
             Gemm::EpilogueMode::Unfused);
+    // "fast" stays accepted as a synonym of "fused" (one GELU program).
     T_CHECK(Gemm::parseEpilogueMode("fast") ==
-            Gemm::EpilogueMode::FusedFast);
+            Gemm::EpilogueMode::Fused);
     T_CHECK(!Gemm::parseEpilogueMode("bogus"));
     T_CHECK(parseSparseExec("csr") == SparseExec::Csr);
     T_CHECK(parseSparseExec("dense") == SparseExec::Dense);
