@@ -35,7 +35,9 @@
  * the number the sparse-branch cost actually scales with under
  * VITALITY_SPARSE=csr. The entry also records the execution
  * configuration that produced it — gemm_backend ("avx2" or "scalar",
- * override with VITALITY_GEMM), pool_threads (worker count),
+ * override with VITALITY_GEMM), gemm_tile (the fp32 register tile:
+ * "6x32z" on avx512f hosts, "6x16y" elsewhere, "scalar"), pool_threads
+ * (worker count),
  * gemm_threads (the intra-GEMM row-band width the main thread would
  * fan out, after the VITALITY_THREADS cap), epilogue ("fused" or
  * "unfused"; VITALITY_EPILOGUE, where "fast" is a synonym of "fused"
@@ -168,6 +170,7 @@ entryJson(const std::vector<Result> &results, size_t pool_threads)
     os << "  \"quant_mode\": \""
        << Gemm::quantModeName(Gemm::quantMode()) << "\",\n";
     os << "  \"gemm_backend\": \"" << Gemm::activeName() << "\",\n";
+    os << "  \"gemm_tile\": \"" << Gemm::tileName() << "\",\n";
     os << "  \"results\": [\n";
     for (size_t i = 0; i < results.size(); ++i) {
         const Result &r = results[i];
@@ -259,11 +262,12 @@ main(int argc, char **argv)
         *std::max_element(batchSizes.begin(), batchSizes.end());
 
     ThreadPool pool;
-    inform("gemm backend: %s, pool threads: %zu, gemm threads: %zu, "
-           "epilogue: %s, sparse: %s, quant: %s (override with "
-           "VITALITY_GEMM / VITALITY_THREADS / VITALITY_EPILOGUE / "
+    inform("gemm backend: %s (tile %s), pool threads: %zu, gemm "
+           "threads: %zu, epilogue: %s, sparse: %s, quant: %s (override "
+           "with VITALITY_GEMM / VITALITY_THREADS / VITALITY_EPILOGUE / "
            "VITALITY_SPARSE / VITALITY_QUANT)",
-           Gemm::activeName(), pool.size(), Gemm::parallelWidth(),
+           Gemm::activeName(), Gemm::tileName(), pool.size(),
+           Gemm::parallelWidth(),
            Gemm::epilogueModeName(Gemm::epilogueMode()),
            sparseExecName(sparseExecMode()),
            Gemm::quantModeName(Gemm::quantMode()));

@@ -207,6 +207,7 @@ entryJson(const std::vector<ServeResult> &results, size_t pool_threads)
     os << "  \"quant_mode\": \""
        << Gemm::quantModeName(Gemm::quantMode()) << "\",\n";
     os << "  \"gemm_backend\": \"" << Gemm::activeName() << "\",\n";
+    os << "  \"gemm_tile\": \"" << Gemm::tileName() << "\",\n";
     os << "  \"results\": [\n";
     for (size_t i = 0; i < results.size(); ++i) {
         const ServeResult &r = results[i];

@@ -10,7 +10,7 @@ rows additionally gate tokens_per_s, inverted); serve rows
 sustained images_per_s / tokens_per_s per batching policy (max_batch,
 max_wait_us) and token-keep policy (keep_ratio) — see keyed_results()
 for why the policies are part of the key. Two entries are comparable when their full execution
-configuration matches — gemm_backend, pool_threads, gemm_threads (the
+configuration matches — gemm_backend, gemm_tile, pool_threads, gemm_threads (the
 intra-GEMM row-band width), and epilogue mode: a scalar run is expected
 to be slower than an avx2 run, a single-thread run slower than a
 pool-parallel one, and wall-clock from a machine with a different core
@@ -64,8 +64,11 @@ def load_trajectory(path):
 # joined in PR 6 for the same reason in the other direction: an int8
 # dense path is expected to be faster than fp32, and comparing across
 # the two would either mask fp32 regressions or flag the mode switch.
-CONFIG_FIELDS = ("gemm_backend", "pool_threads", "gemm_threads",
-                 "epilogue", "sparse_mode", "quant_mode")
+# gemm_tile ("6x32z", "6x16y" or "scalar") joined with the AVX-512
+# tile: the avx2 backend runs the zmm tile only on avx512f hosts, so a
+# runner without AVX-512 must never be gated against a zmm baseline.
+CONFIG_FIELDS = ("gemm_backend", "gemm_tile", "pool_threads",
+                 "gemm_threads", "epilogue", "sparse_mode", "quant_mode")
 
 
 def comparable(old, new):

@@ -26,10 +26,13 @@ Checks (each violation is reported as file:line and fails the run):
      (3b) every such env knob is also resolved by
      RuntimeOptions::fromEnv, so the serving layer's per-model pinned
      options never lag the knob set.
-  4. AVX2 translation units are paired with a scalar fallback: every
-     src/**/X_avx2.cpp has a sibling X.cpp, and AVX2 intrinsics
-     (outside comments) appear only in *_avx2.cpp files or in headers
-     that declare themselves AVX2-only (avx2_math.h).
+  4. Vector-ISA translation units are paired with a scalar fallback:
+     every src/**/X_avx2.cpp and src/**/X_avx512.cpp has a sibling
+     X.cpp. AVX2 intrinsics (outside comments) appear only in
+     *_avx2.cpp / *_avx512.cpp files or in headers that declare
+     themselves AVX2-only (avx2_math.h); (4b) AVX-512 intrinsics
+     (_mm512_*) appear only in *_avx512.cpp files, the only TUs built
+     with -mavx512f — not in the AVX2 TUs and not in any header.
   5. Include layering: base(0) < tensor(1) < {sparse, attention}(2) <
      runtime(3) < model(4). A file includes only its own level or
      below (sparse and attention share a level and may include each
@@ -258,31 +261,47 @@ def check_knobs_in_runtime_options():
                        "RuntimeOptions::fromEnv")
 
 
-# --- Rule 4: AVX2 TU pairing and intrinsic containment ------------------
+# --- Rule 4: vector TU pairing and intrinsic containment ---------------
 
 AVX2_HEADERS = {"avx2_math.h"}
+VECTOR_TU_SUFFIXES = ("_avx2.cpp", "_avx512.cpp")
+AVX2_INTRINSIC = re.compile(r"_mm(?!512_)\d+_\w+")
+AVX512_INTRINSIC = re.compile(r"_mm512_\w+")
 
 
 def check_avx2_pairing():
     for path in src_files(".cpp"):
         base = os.path.basename(path)
         text = strip_comments(open(path).read())
-        m = re.search(r"_mm\d+_\w+", text)
-        if base.endswith("_avx2.cpp"):
-            sibling = path.replace("_avx2.cpp", ".cpp")
+        suffix = next((s for s in VECTOR_TU_SUFFIXES if base.endswith(s)),
+                      None)
+        if suffix:
+            sibling = path[:-len(suffix)] + ".cpp"
             if not os.path.exists(sibling):
                 report(path, 1,
                        f"{base} has no scalar sibling "
                        f"{os.path.basename(sibling)}")
-        elif m:
-            report(path, line_of(text, m.start()),
-                   "AVX2 intrinsics outside an *_avx2.cpp translation unit")
+        else:
+            m = AVX2_INTRINSIC.search(text)
+            if m:
+                report(path, line_of(text, m.start()),
+                       "AVX2 intrinsics outside an *_avx2.cpp translation "
+                       "unit")
+        if suffix != "_avx512.cpp":
+            for m in AVX512_INTRINSIC.finditer(text):
+                report(path, line_of(text, m.start()),
+                       f"AVX-512 intrinsic {m.group(0)} outside an "
+                       "*_avx512.cpp translation unit")
     for path in src_files(".h"):
         base = os.path.basename(path)
+        text = strip_comments(open(path).read())
+        for m in AVX512_INTRINSIC.finditer(text):
+            report(path, line_of(text, m.start()),
+                   f"AVX-512 intrinsic {m.group(0)} in a header; keep it "
+                   "in an *_avx512.cpp translation unit")
         if base in AVX2_HEADERS:
             continue
-        text = strip_comments(open(path).read())
-        m = re.search(r"_mm\d+_\w+", text)
+        m = AVX2_INTRINSIC.search(text)
         if m:
             report(path, line_of(text, m.start()),
                    "AVX2 intrinsics in a header not declared AVX2-only")

@@ -233,6 +233,7 @@ RuntimeOptions::summary() const
     std::ostringstream os;
     os << "gemm="
        << (gemmBackend ? Gemm::backendName(*gemmBackend) : "-");
+    os << " tile=" << (gemmBackend ? Gemm::tileName(*gemmBackend) : "-");
     os << " threads=";
     if (threads)
         os << *threads;

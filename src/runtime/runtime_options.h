@@ -157,8 +157,9 @@ struct RuntimeOptions
 
     /**
      * Human-readable one-liner, e.g.
-     * "gemm=avx2 threads=0 epilogue=fused sparse=csr quant=off
-     * tokens=1 layers=uniform" with "-" for disengaged fields.
+     * "gemm=avx2 tile=6x32z threads=0 epilogue=fused sparse=csr
+     * quant=off tokens=1 layers=uniform" with "-" for disengaged
+     * fields; tile (Gemm::tileName) follows the gemm field.
      */
     std::string summary() const;
 

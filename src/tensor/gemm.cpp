@@ -12,6 +12,7 @@
 #include "base/logging.h"
 #include "tensor/gemm_epilogue.h"
 #include "tensor/gemm_int8.h"
+#include "tensor/gemm_pack.h"
 #include "tensor/ops.h"
 #include "tensor/packed_weights.h"
 #include "tensor/quantized_matrix.h"
@@ -27,9 +28,11 @@ namespace detail {
 // built for the AVX2 ISA. Computes rows [rowBegin, rowEnd) of dst. A
 // non-null packedB supplies prepacked full-k op(B) panels (jp stride
 // k * 16, the PackedMatrix layout) and skips the per-call B pack.
+// tileCols (fp32TileCols) picks the 6x16 ymm or the 6x32 zmm tile.
 void gemmAvx2(Matrix &dst, const Matrix &a, const Matrix &b,
               Gemm::Trans trans, size_t rowBegin, size_t rowEnd,
-              const Gemm::Epilogue &ep, const float *packedB = nullptr);
+              const Gemm::Epilogue &ep, const float *packedB,
+              size_t tileCols);
 #endif
 
 } // namespace detail
@@ -237,7 +240,8 @@ runBackend(Gemm::Backend backend, Matrix &dst, const Matrix &a,
         return;
     case Gemm::Backend::Avx2:
 #if VITALITY_HAVE_AVX2
-        detail::gemmAvx2(dst, a, b, trans, i0, i1, ep, packedB);
+        detail::gemmAvx2(dst, a, b, trans, i0, i1, ep, packedB,
+                         detail::fp32TileCols());
         return;
 #else
         throw std::invalid_argument(
@@ -257,6 +261,20 @@ cpuHasAvx2Fma()
     return false;
 #endif
 }
+
+/** The widest fp32 tile this build and CPU can run (fp32TileCols). */
+size_t
+widestFp32Tile()
+{
+#if VITALITY_HAVE_AVX512 && (defined(__x86_64__) || defined(__i386__))
+    if (cpuHasAvx2Fma() && __builtin_cpu_supports("avx512f"))
+        return 2 * detail::kNr;
+#endif
+    return detail::kNr;
+}
+
+// 0 = no override; otherwise the tile width setFp32TileCols forced.
+std::atomic<size_t> g_tileColsOverride{0};
 
 Gemm::Backend
 resolveDefault()
@@ -802,6 +820,38 @@ Gemm::backendName(Backend backend)
         return "avx2";
     }
     return "unknown";
+}
+
+const char *
+Gemm::tileName(Backend backend)
+{
+    if (backend == Backend::Scalar)
+        return "scalar";
+    return detail::fp32TileCols() == 2 * detail::kNr ? "6x32z" : "6x16y";
+}
+
+size_t
+detail::fp32TileCols()
+{
+    static const size_t widest = widestFp32Tile();
+    const size_t forced =
+        g_tileColsOverride.load(std::memory_order_acquire);
+    return forced ? forced : widest;
+}
+
+void
+detail::setFp32TileCols(size_t cols)
+{
+    if (cols != 0 && cols != kNr && cols != 2 * kNr) {
+        throw std::invalid_argument(
+            strfmt("gemm: fp32 tile width %zu is neither %zu nor %zu",
+                   cols, kNr, 2 * kNr));
+    }
+    if (cols == 2 * kNr && widestFp32Tile() != 2 * kNr) {
+        throw std::invalid_argument(
+            "gemm: the 6x32 zmm tile is not available on this host");
+    }
+    g_tileColsOverride.store(cols, std::memory_order_release);
 }
 
 std::optional<Gemm::Backend>

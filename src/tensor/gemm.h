@@ -18,7 +18,11 @@
  *     up to 3072; one unbroken K sweep would stream megabytes of packed
  *     A through L2 per column panel). Compiled only when the build
  *     enables it (-DVITALITY_ENABLE_AVX2=ON, the default) and selected
- *     only when CPUID reports AVX2 and FMA support.
+ *     only when CPUID reports AVX2 and FMA support. On hosts whose
+ *     CPUID also reports avx512f, its driver runs a 6x32 zmm tile
+ *     (gemm_avx512.cpp) wherever a full 6-row A panel meets a full
+ *     pair of adjacent 16-wide B panels, and the 6x16 ymm tile
+ *     everywhere else; tileName() reports which.
  *
  * The default backend is resolved once per process: the VITALITY_GEMM
  * environment variable ("scalar" or "avx2") wins if set and available,
@@ -62,7 +66,13 @@
  * sequence per element is unchanged. The same holds for row-band
  * parallelism (below): bands partition output rows, every element is
  * still produced by one uninterrupted ascending-k sum, so results are
- * bitwise-identical at every thread count. Per element the standard
+ * bitwise-identical at every thread count. It holds for the register
+ * tile too: the 6x32 zmm tile runs, per output element, the same
+ * ascending-k FMA chain as the 6x16 ymm tile (seeded from the same
+ * float32 partials, each lane rounding once per step), and both share
+ * one fused write-back, so the AVX2 backend's results are
+ * bitwise-identical whichever tile the host runs (asserted by
+ * test_gemm). Per element the standard
  * forward-error bound applies to each backend:
  *
  *   |c_computed - c_exact| <= k * eps * sum_k |a_ik| * |b_kj|
@@ -366,6 +376,13 @@ class Gemm
 
     /** Name of the active backend, for bench/trajectory reporting. */
     static const char *activeName() { return backendName(active()); }
+
+    /**
+     * The fp32 register tile a backend runs, for bench/trajectory
+     * reporting: "6x32z" (AVX2 backend, zmm tile on an avx512f host),
+     * "6x16y" (AVX2 backend, ymm tile) or "scalar".
+     */
+    static const char *tileName(Backend backend = active());
 
     /** Parse a VITALITY_GEMM value; nullopt on unrecognized text. */
     static std::optional<Backend> parseBackend(const std::string &name);

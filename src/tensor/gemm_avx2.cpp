@@ -1,14 +1,18 @@
 /**
  * @file
  * AVX2+FMA GEMM backend: a 6x16 register-blocked microkernel over
- * packed operand panels, with kc cache-blocking and a fused epilogue.
+ * packed operand panels, with kc cache-blocking and a fused epilogue,
+ * plus the driver for the 6x32 AVX-512 tile (gemm_avx512.cpp).
  *
  * This translation unit is compiled with -mavx2 -mfma and is only ever
  * entered after Gemm's runtime CPUID check, so it may use the AVX2 ISA
- * freely. The classic BLIS-style structure, sized for this workload
+ * freely (but no AVX-512 instruction: the zmm tile lives in its own
+ * -mavx512f TU and is called only when CPUID reported avx512f). The
+ * classic BLIS-style structure, sized for this workload
  * (attention-shaped GEMMs plus the DeiT MLP projections, k up to 3072):
  *
- *   - op(B) is packed one kc x 16 column-panel chunk at a time, op(A)
+ *   - op(B) is packed one kc x 16 column-panel chunk at a time (two
+ *     adjacent chunks per step when the zmm tile runs), op(A)
  *     into 6 x k row panels, both zero-padded to full panel width so the
  *     microkernel never needs a ragged edge case. Panels live in a
  *     thread-local Workspace arena through acquireAligned(), so packed
@@ -41,6 +45,15 @@
  *     walks k in ascending order with two FMAs per row per step — the
  *     same per-element accumulation order as the scalar backend, so
  *     backends differ only by FMA rounding (see gemm.h).
+ *   - With tileCols == 32 (fp32TileCols: CPUID reported avx512f), every
+ *     full 6-row A panel that meets a full pair of adjacent B panels
+ *     runs the 6x32 zmm tile instead: twelve zmm accumulators, one per
+ *     row per panel, walking the same k range from the same seed. Each
+ *     output element is therefore the same ascending-k FMA chain as
+ *     under the ymm tile, and the finished tile goes through the same
+ *     epilogueStoreTile (once per 16-column half), so the two tiles
+ *     are bitwise-equal. Ragged rows, an odd last panel of an nc block
+ *     and a partial panel fall back to the 6x16 tile.
  *   - Full tiles store straight to C; edge tiles go through a 6x16
  *     scratch tile and copy only the valid region, so C is never read
  *     or written out of bounds.
@@ -144,7 +157,8 @@ softmaxRowsApproxAvx2(Matrix &dst, const Matrix &a)
 
 /**
  * 8-lane twin of the scalar layerNormRowsInto loop in tensor/ops.cpp
- * (which dispatches here when the AVX2 backend is active). The mean and
+ * (which dispatches here when the AVX2 backend is active), over rows
+ * [r0, r1) so the caller can band rows across the pool. The mean and
  * variance sums run the documented lane-grouped order — one ymm
  * accumulator over the whole 8-column groups, the pairwise fold
  * ((0+4) + (2+6)) + ((1+5) + (3+7)), then the tail in order — and the
@@ -153,7 +167,7 @@ softmaxRowsApproxAvx2(Matrix &dst, const Matrix &a)
  */
 void
 layerNormRowsAvx2(Matrix &dst, const Matrix &a, const Matrix &gamma,
-                  const Matrix &beta, float eps)
+                  const Matrix &beta, float eps, size_t r0, size_t r1)
 {
     const size_t n = a.cols();
     const float inv_n = 1.0f / static_cast<float>(n);
@@ -166,7 +180,7 @@ layerNormRowsAvx2(Matrix &dst, const Matrix &a, const Matrix &gamma,
         m = _mm_add_ss(m, _mm_shuffle_ps(m, m, 1));
         return _mm_cvtss_f32(m);
     };
-    for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t r = r0; r < r1; ++r) {
         const float *in = a.rowPtr(r);
         float *out = dst.rowPtr(r);
 
@@ -255,6 +269,15 @@ quantizeRowAvx2(float *dst, const float *src, size_t count,
     }
 }
 
+#if VITALITY_HAVE_AVX512
+// Defined in gemm_avx512.cpp, compiled with -mavx512f -mfma. Reached
+// only with tileCols == 32, which the dispatcher passes only after its
+// CPUID check reported avx512f (detail::fp32TileCols).
+void microKernel6x32Avx512(size_t k, const float *pa, const float *pb0,
+                           const float *pb1, const float *cin,
+                           size_t ldcin, float *cout, size_t ldcout);
+#endif
+
 namespace {
 
 /**
@@ -329,9 +352,11 @@ microKernel6x16(size_t k, const float *pa, const float *pb,
 }
 
 /**
- * The fused write-back: push the finished raw-product tile through the
- * epilogue into dst. Full-width tiles take the vectorized path; ragged
- * edges go through the shared scalar helper (gemm_epilogue.h). The two
+ * The fused write-back: push the finished raw-product tile (row stride
+ * ldt: kNr for a 6x16 tile, 2 * kNr for either half of a 6x32 one)
+ * through the epilogue into dst. Full-width tiles take the vectorized
+ * path; ragged edges go through the shared scalar helper
+ * (gemm_epilogue.h). The two
  * agree bitwise because a vector float add is the same rounding as a
  * scalar float add lane by lane — the vector path is the one
  * intentional second copy of the canonical element order. The GELU
@@ -339,8 +364,9 @@ microKernel6x16(size_t k, const float *pa, const float *pb,
  * geluScalar by construction.
  */
 void
-epilogueStoreTile(float *tile, Matrix &dst, size_t i0, size_t j0,
-                  size_t mEff, size_t nEff, const Gemm::Epilogue &ep)
+epilogueStoreTile(const float *tile, size_t ldt, Matrix &dst, size_t i0,
+                  size_t j0, size_t mEff, size_t nEff,
+                  const Gemm::Epilogue &ep)
 {
     const float *bias = ep.bias ? ep.bias->rowPtr(0) + j0 : nullptr;
     if (nEff == kNr) {
@@ -350,7 +376,7 @@ epilogueStoreTile(float *tile, Matrix &dst, size_t i0, size_t j0,
             b1 = _mm256_loadu_ps(bias + 8);
         }
         for (size_t r = 0; r < mEff; ++r) {
-            const float *src = tile + r * kNr;
+            const float *src = tile + r * ldt;
             __m256 v0 = _mm256_loadu_ps(src);
             __m256 v1 = _mm256_loadu_ps(src + 8);
             if (bias) {
@@ -372,7 +398,7 @@ epilogueStoreTile(float *tile, Matrix &dst, size_t i0, size_t j0,
         return;
     }
     for (size_t r = 0; r < mEff; ++r)
-        epilogueApplyRow(dst.rowPtr(i0 + r) + j0, tile + r * kNr, bias,
+        epilogueApplyRow(dst.rowPtr(i0 + r) + j0, tile + r * ldt, bias,
                          nEff, ep.accumulate, ep.act);
 }
 
@@ -381,7 +407,7 @@ epilogueStoreTile(float *tile, Matrix &dst, size_t i0, size_t j0,
 void
 gemmAvx2(Matrix &dst, const Matrix &a, const Matrix &b, Gemm::Trans trans,
          size_t rowBegin, size_t rowEnd, const Gemm::Epilogue &ep,
-         const float *packedB)
+         const float *packedB, size_t tileCols)
 {
     const size_t n = dst.cols();
     const size_t k = trans == Gemm::Trans::A ? a.rows() : a.cols();
@@ -389,21 +415,32 @@ gemmAvx2(Matrix &dst, const Matrix &a, const Matrix &b, Gemm::Trans trans,
     const size_t mPanels = (mBand + kMr - 1) / kMr;
     const size_t nPanels = (n + kNr - 1) / kNr;
     const size_t chunks = (k + kKc - 1) / kKc;
+    // B panels one step of the column sweep covers: 2 when the zmm tile
+    // pairs adjacent panels, else 1.
+#if VITALITY_HAVE_AVX512
+    const size_t stepPanels = tileCols / kNr;
+#else
+    (void)tileCols;
+    const size_t stepPanels = 1;
+#endif
+    const size_t kcMax = std::min(k, kKc);
 
     // Gemm-private packing arena: per worker thread, recycled across
     // calls, so hot-path multiplies allocate nothing in steady state.
     // op(A) is packed whole (each kc chunk of it is swept once per B
-    // panel); op(B) is packed one kc x kNr chunk at a time — unless the
-    // caller supplies prepacked full-k panels (packedB, jp stride
-    // k * kNr), in which case the pack loop is skipped and the
-    // microkernel reads the [k0, k1) slice at packedB + jp * k * kNr +
+    // step); op(B) is packed one kc x kNr chunk per panel of the step —
+    // unless the caller supplies prepacked full-k panels (packedB, jp
+    // stride k * kNr), in which case the pack loop is skipped and the
+    // microkernels read the [k0, k1) slice at packedB + jp * k * kNr +
     // k0 * kNr, byte-identical to what packBPanel would have written.
+    // The per-call B panels start on a cache line, as PackedMatrix
+    // panels do, so no zmm row load splits a line.
     static thread_local Workspace tls;
     Workspace::Frame frame(tls);
     float *packedA = tls.acquireAligned(mPanels * k * kMr);
-    float *pb =
-        packedB ? nullptr : tls.acquireAligned(std::min(k, kKc) * kNr);
-    float *tile = tls.acquireAligned(kMr * kNr);
+    float *pb = packedB ? nullptr
+                        : tls.acquireAligned(stepPanels * kcMax * kNr, 64);
+    float *tile = tls.acquireAligned(kMr * stepPanels * kNr);
     // With an accumulate epilogue the old C must survive until the
     // fused store of the last chunk, so inter-chunk partials live in a
     // scratch band instead of dst.
@@ -421,76 +458,115 @@ gemmAvx2(Matrix &dst, const Matrix &a, const Matrix &b, Gemm::Trans trans,
                    std::min(kMr, rowEnd - i0), k);
     }
 
+    // One 6x16 tile: A panel ip against B panel jp (packed at pbp),
+    // over the kc chunk [k0, k1). Handles ragged rows and columns.
+    const auto ymmTile = [&](size_t ip, size_t jp, const float *pbp,
+                             size_t chunk, size_t k0, size_t k1,
+                             bool fuse) {
+        const size_t i0 = rowBegin + ip * kMr;
+        const size_t mEff = std::min(kMr, rowEnd - i0);
+        const size_t j0 = jp * kNr;
+        const size_t nEff = std::min(kNr, n - j0);
+        const float *pa = packedA + ip * k * kMr + k0 * kMr;
+        const bool fullTile = mEff == kMr && nEff == kNr;
+
+        const float *cin = nullptr;
+        size_t ldcin = n;
+        if (chunk > 0) {
+            if (fullTile) {
+                cin = prow(i0) + j0;
+            } else {
+                // Stage the valid region so the microkernel never reads
+                // past a ragged edge; the padded lanes hold garbage that
+                // only ever feeds discarded lanes.
+                for (size_t r = 0; r < mEff; ++r)
+                    std::memcpy(tile + r * kNr, prow(i0 + r) + j0,
+                                nEff * sizeof(float));
+                cin = tile;
+                ldcin = kNr;
+            }
+        }
+
+        if (!fuse && fullTile) {
+            microKernel6x16(k1 - k0, pa, pbp, cin, ldcin, prow(i0) + j0,
+                            n);
+            return;
+        }
+        microKernel6x16(k1 - k0, pa, pbp, cin, ldcin, tile, kNr);
+        if (fuse) {
+            epilogueStoreTile(tile, kNr, dst, i0, j0, mEff, nEff, ep);
+        } else {
+            // Ragged edge: copy only the valid region so C is never
+            // written out of bounds.
+            for (size_t r = 0; r < mEff; ++r)
+                std::memcpy(prow(i0 + r) + j0, tile + r * kNr,
+                            nEff * sizeof(float));
+        }
+    };
+
     // nc column blocks outermost, kc chunks inside: all of a block's
     // chunks finish before the next block starts, so inter-chunk C
     // partials stay one mBand x kNc tile, and within a chunk one kc
     // slice of all packed A panels stays cache-resident across the
     // block's column-panel sweep.
     constexpr size_t kNcPanels = kNc / kNr;
-    static_assert(kNc % kNr == 0, "column block must be whole panels");
+    static_assert(kNc % (2 * kNr) == 0,
+                  "column block must be whole panel pairs");
     for (size_t jcBegin = 0; jcBegin < nPanels; jcBegin += kNcPanels) {
       const size_t jcEnd = std::min(jcBegin + kNcPanels, nPanels);
       for (size_t chunk = 0; chunk < chunks; ++chunk) {
         const size_t k0 = chunk * kKc;
         const size_t k1 = std::min(k0 + kKc, k);
-        const bool last = chunk + 1 == chunks;
-        for (size_t jp = jcBegin; jp < jcEnd; ++jp) {
-            const size_t j0 = jp * kNr;
-            const size_t nEff = std::min(kNr, n - j0);
-            const float *pbp;
-            if (packedB) {
-                pbp = packedB + jp * k * kNr + k0 * kNr;
-            } else {
-                packBPanel(pb, b, trans, j0, nEff, k0, k1);
-                pbp = pb;
+        // The last chunk of a non-trivial epilogue goes through the
+        // fused store; earlier chunks park raw partials.
+        const bool fuse = chunk + 1 == chunks && !ep.trivial();
+        for (size_t jp = jcBegin; jp < jcEnd;) {
+            // The zmm tile takes two adjacent full-width panels; an odd
+            // last panel or a ragged one steps alone.
+            const size_t step =
+                stepPanels == 2 && jp + 1 < jcEnd && (jp + 2) * kNr <= n
+                    ? 2
+                    : 1;
+            const float *pbp[2] = {nullptr, nullptr};
+            for (size_t h = 0; h < step; ++h) {
+                const size_t j0 = (jp + h) * kNr;
+                if (packedB) {
+                    pbp[h] = packedB + (jp + h) * k * kNr + k0 * kNr;
+                } else {
+                    float *panel = pb + h * kcMax * kNr;
+                    packBPanel(panel, b, trans, j0, std::min(kNr, n - j0),
+                               k0, k1);
+                    pbp[h] = panel;
+                }
             }
             for (size_t ip = 0; ip < mPanels; ++ip) {
+#if VITALITY_HAVE_AVX512
                 const size_t i0 = rowBegin + ip * kMr;
-                const size_t mEff = std::min(kMr, rowEnd - i0);
-                const float *pa = packedA + ip * k * kMr + k0 * kMr;
-                const bool fullTile = mEff == kMr && nEff == kNr;
-                // The last chunk of a non-trivial epilogue goes through
-                // the fused store; earlier chunks park raw partials.
-                const bool fuse = last && !ep.trivial();
-
-                const float *cin = nullptr;
-                size_t ldcin = n;
-                if (chunk > 0) {
-                    if (fullTile) {
-                        cin = prow(i0) + j0;
+                if (step == 2 && rowEnd - i0 >= kMr) {
+                    // Full 6-row panel against a full pair: one 6x32
+                    // zmm tile, the same per-element FMA chains as the
+                    // two 6x16 tiles it replaces.
+                    const size_t j0 = jp * kNr;
+                    const float *pa = packedA + ip * k * kMr + k0 * kMr;
+                    const float *cin = chunk > 0 ? prow(i0) + j0 : nullptr;
+                    if (!fuse) {
+                        microKernel6x32Avx512(k1 - k0, pa, pbp[0], pbp[1],
+                                              cin, n, prow(i0) + j0, n);
                     } else {
-                        // Stage the valid region so the microkernel
-                        // never reads past a ragged edge; the padded
-                        // lanes hold garbage that only ever feeds
-                        // discarded lanes.
-                        for (size_t r = 0; r < mEff; ++r)
-                            std::memcpy(tile + r * kNr,
-                                        prow(i0 + r) + j0,
-                                        nEff * sizeof(float));
-                        cin = tile;
-                        ldcin = kNr;
+                        microKernel6x32Avx512(k1 - k0, pa, pbp[0], pbp[1],
+                                              cin, n, tile, 2 * kNr);
+                        epilogueStoreTile(tile, 2 * kNr, dst, i0, j0, kMr,
+                                          kNr, ep);
+                        epilogueStoreTile(tile + kNr, 2 * kNr, dst, i0,
+                                          j0 + kNr, kMr, kNr, ep);
                     }
+                    continue;
                 }
-
-                if (!fuse && fullTile) {
-                    microKernel6x16(k1 - k0, pa, pbp, cin, ldcin,
-                                    prow(i0) + j0, n);
-                } else {
-                    microKernel6x16(k1 - k0, pa, pbp, cin, ldcin, tile,
-                                    kNr);
-                    if (fuse) {
-                        epilogueStoreTile(tile, dst, i0, j0, mEff, nEff,
-                                          ep);
-                    } else {
-                        // Ragged edge: copy only the valid region so C
-                        // is never written out of bounds.
-                        for (size_t r = 0; r < mEff; ++r)
-                            std::memcpy(prow(i0 + r) + j0,
-                                        tile + r * kNr,
-                                        nEff * sizeof(float));
-                    }
-                }
+#endif
+                for (size_t h = 0; h < step; ++h)
+                    ymmTile(ip, jp + h, pbp[h], chunk, k0, k1, fuse);
             }
+            jp += step;
         }
       }
     }

@@ -48,6 +48,24 @@ constexpr size_t kNr = 16;  ///< fp32 microkernel cols (B panel width).
 constexpr size_t kKc = 256; ///< fp32 k-dimension cache-block depth.
 constexpr size_t kNc = 256; ///< fp32 n-dimension column-block width.
 
+/**
+ * Columns of the fp32 register tile the AVX2 backend runs: 2 * kNr
+ * (the 6x32 zmm tile over two adjacent B panels) when the AVX-512
+ * kernel is compiled in and CPUID reports avx512f, else kNr (the 6x16
+ * ymm tile). Both tiles run the same per-element FMA chain, so the
+ * choice never changes a bit of output; the panel geometry above is
+ * the same for both.
+ */
+size_t fp32TileCols();
+
+/**
+ * Force the fp32 tile width (test hook, so both tiles can run on one
+ * host): kNr or 2 * kNr, or 0 to restore the CPUID choice. Throws
+ * std::invalid_argument for any other width, and for 2 * kNr where the
+ * zmm tile is unavailable. Not synchronized with in-flight multiplies.
+ */
+void setFp32TileCols(size_t cols);
+
 constexpr size_t kMr8 = 4;  ///< int8 microkernel rows (A panel height).
 constexpr size_t kNr8 = 16; ///< int8 microkernel cols (B panel width).
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "base/check.h"
@@ -67,6 +68,12 @@ laneGroupedSum(size_t n, F f)
     return s;
 }
 
+// LayerNorm fans row bands over the pool only when every band gets at
+// least this many elements (256 KiB of fp32 input): DeiT-Small's
+// 1576 x 384 offline batch splits three ways, while a single 197-token
+// serve image (37.8K elements at DeiT-Tiny) stays sequential.
+constexpr size_t kMinLayerNormElemsPerBand = size_t(1) << 16;
+
 } // namespace
 
 #if VITALITY_HAVE_AVX2
@@ -77,7 +84,8 @@ namespace detail {
 // lane-program contract (and, for maxAbs, exact associativity of max).
 void softmaxRowsApproxAvx2(Matrix &dst, const Matrix &a);
 void layerNormRowsAvx2(Matrix &dst, const Matrix &a, const Matrix &gamma,
-                       const Matrix &beta, float eps);
+                       const Matrix &beta, float eps, size_t r0,
+                       size_t r1);
 float maxAbsAvx2(const float *data, size_t count);
 } // namespace detail
 #endif
@@ -488,6 +496,43 @@ softmaxRows(const Matrix &a)
     return s;
 }
 
+namespace {
+
+/** LayerNorm of rows [r0, r1) of a into dst (already shaped). */
+void
+layerNormRowRange(Matrix &dst, const Matrix &a, const Matrix &gamma,
+                  const Matrix &beta, float eps, size_t r0, size_t r1)
+{
+#if VITALITY_HAVE_AVX2
+    // The 8-lane row kernel runs the documented lane-grouped order in
+    // registers, so the result does not depend on the backend.
+    if (Gemm::active() == Gemm::Backend::Avx2) {
+        detail::layerNormRowsAvx2(dst, a, gamma, beta, eps, r0, r1);
+        return;
+    }
+#endif
+    const size_t n = a.cols();
+    const float inv_n = 1.0f / static_cast<float>(n);
+    const float *grow = gamma.rowPtr(0);
+    const float *brow = beta.rowPtr(0);
+    for (size_t r = r0; r < r1; ++r) {
+        const float *in = a.rowPtr(r);
+        float *out = dst.rowPtr(r);
+        const float mean_r =
+            laneGroupedSum(n, [&](size_t c) { return in[c]; }) * inv_n;
+        const float var_r = laneGroupedSum(n, [&](size_t c) {
+                                const float d = in[c] - mean_r;
+                                return d * d;
+                            }) *
+                            inv_n;
+        const float inv_std = 1.0f / std::sqrt(var_r + eps);
+        for (size_t c = 0; c < n; ++c)
+            out[c] = (in[c] - mean_r) * inv_std * grow[c] + brow[c];
+    }
+}
+
+} // namespace
+
 void
 layerNormRowsInto(Matrix &dst, const Matrix &a, const Matrix &gamma,
                   const Matrix &beta, float eps)
@@ -507,32 +552,29 @@ layerNormRowsInto(Matrix &dst, const Matrix &a, const Matrix &gamma,
                         check::allFinite(beta.data(), beta.size()),
                     "layerNormRows: non-finite gamma/beta");
     dst.resize(a.rows(), a.cols());
-#if VITALITY_HAVE_AVX2
-    // The 8-lane row kernel runs the documented lane-grouped order in
-    // registers, so the result does not depend on the backend.
-    if (Gemm::active() == Gemm::Backend::Avx2) {
-        detail::layerNormRowsAvx2(dst, a, gamma, beta, eps);
+    const size_t rows = a.rows();
+    // Rows are independent, so bands over the pool give the same bits
+    // as one sequential sweep; activations too small to amortize the
+    // fan-out (single serve images) stay on the calling thread.
+    size_t bands = 1;
+    std::shared_ptr<const Gemm::ParallelRunner> runner;
+    if (rows > 1 && a.size() >= 2 * kMinLayerNormElemsPerBand)
+        runner = Gemm::parallelRunner();
+    if (runner) {
+        size_t width = runner->width();
+        if (Gemm::maxThreads())
+            width = std::min(width, Gemm::maxThreads());
+        bands = std::min({width, a.size() / kMinLayerNormElemsPerBand,
+                          rows});
+    }
+    if (bands <= 1) {
+        layerNormRowRange(dst, a, gamma, beta, eps, 0, rows);
         return;
     }
-#endif
-    const size_t n = a.cols();
-    const float inv_n = 1.0f / static_cast<float>(n);
-    const float *grow = gamma.rowPtr(0);
-    const float *brow = beta.rowPtr(0);
-    for (size_t r = 0; r < a.rows(); ++r) {
-        const float *in = a.rowPtr(r);
-        float *out = dst.rowPtr(r);
-        const float mean_r =
-            laneGroupedSum(n, [&](size_t c) { return in[c]; }) * inv_n;
-        const float var_r = laneGroupedSum(n, [&](size_t c) {
-                                const float d = in[c] - mean_r;
-                                return d * d;
-                            }) *
-                            inv_n;
-        const float inv_std = 1.0f / std::sqrt(var_r + eps);
-        for (size_t c = 0; c < n; ++c)
-            out[c] = (in[c] - mean_r) * inv_std * grow[c] + brow[c];
-    }
+    runner->run(bands, [&](size_t band) {
+        layerNormRowRange(dst, a, gamma, beta, eps, rows * band / bands,
+                          rows * (band + 1) / bands);
+    });
 }
 
 Matrix

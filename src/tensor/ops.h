@@ -219,6 +219,9 @@ float sparsity(const Matrix &a);
  * pairwise ((0+4) + (2+6)) + ((1+5) + (3+7)), and the tail columns add
  * on in order. The AVX2 row kernel (used when the AVX2 GEMM backend is
  * active) runs that order in registers, so both give the same bits.
+ * Inputs of at least 2 x 64K elements fan row bands over the installed
+ * Gemm parallel runner (under the same thread cap as the GEMMs); rows
+ * are independent, so banding never changes a bit.
  */
 Matrix layerNormRows(const Matrix &a, const Matrix &gamma,
                      const Matrix &beta, float eps = 1e-5f);

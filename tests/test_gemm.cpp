@@ -17,6 +17,7 @@
 
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <optional>
@@ -28,11 +29,16 @@
 #include "base/check.h"
 #include "base/rng.h"
 #include "runtime/multi_head_attention.h"
+#include "model/vit_config.h"
+#include "model/vit_encoder.h"
 #include "runtime/thread_pool.h"
 #include "tensor/batch.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_pack.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "tensor/packed_weights.h"
+#include "tensor/ragged_batch.h"
 #include "testing.h"
 
 using namespace vitality;
@@ -182,6 +188,24 @@ testDispatcherPlumbing()
     T_CHECK(std::string(Gemm::backendName(Gemm::Backend::Scalar)) ==
             "scalar");
     T_CHECK(std::string(Gemm::backendName(Gemm::Backend::Avx2)) == "avx2");
+
+    // The tile name follows the backend and the fp32 tile width; the
+    // width hook takes only the two tile widths (or 0, the CPUID pick).
+    T_CHECK(std::string(Gemm::tileName(Gemm::Backend::Scalar)) ==
+            "scalar");
+    const size_t cols = detail::fp32TileCols();
+    T_CHECK(cols == detail::kNr || cols == 2 * detail::kNr);
+    T_CHECK(std::string(Gemm::tileName(Gemm::Backend::Avx2)) ==
+            (cols == 2 * detail::kNr ? "6x32z" : "6x16y"));
+    detail::setFp32TileCols(detail::kNr);
+    T_CHECK(std::string(Gemm::tileName(Gemm::Backend::Avx2)) == "6x16y");
+    T_CHECK_THROWS(detail::setFp32TileCols(8), std::invalid_argument);
+    T_CHECK_THROWS(detail::setFp32TileCols(64), std::invalid_argument);
+    detail::setFp32TileCols(0);
+    T_CHECK(detail::fp32TileCols() == cols);
+    if (!avx2Here())
+        T_CHECK_THROWS(detail::setFp32TileCols(2 * detail::kNr),
+                       std::invalid_argument);
 
     // setActive round-trips, and restores cleanly.
     Gemm::setActive(Gemm::Backend::Scalar);
@@ -664,6 +688,174 @@ testForwardBatchCrossBackendParity()
     Gemm::setActive(before);
 }
 
+/**
+ * Force the zmm tile for a test, or print the explicit SKIP line and
+ * return false where the host (or build) has no 6x32 tile.
+ */
+bool
+forceZmmOrSkip(const char *what)
+{
+    if (avx2Here()) {
+        try {
+            detail::setFp32TileCols(2 * detail::kNr);
+            return true;
+        } catch (const std::invalid_argument &) {
+        }
+    }
+    std::printf("  SKIP zmm: no avx512f 6x32 tile on this host/build; "
+                "%s not run\n",
+                what);
+    return false;
+}
+
+/**
+ * The 6x32 zmm tile is bitwise-equal to the 6x16 ymm tile: every
+ * float compared with ==. Shapes cover odd panel counts and ragged
+ * columns (n), ragged and multi-panel rows (m), and single- and
+ * multi-chunk depths around kc = 256 (k). Each (m, n, k) triple with
+ * m*n*k <= 2^18 runs every epilogue x transpose x {per-call,
+ * PackedMatrix} B x band cap {1, 3}; larger triples up to 2^27 each
+ * run one of those 48 combos, rotating so every combo recurs among
+ * them. Triples beyond 2^27 (three large dimensions at once, e.g.
+ * 1576 x 1152 x 3072) are left out: every listed value still meets
+ * multi-chunk depths, odd panel counts and three bands in the others,
+ * and the full cross product would take minutes under the sanitizers.
+ */
+void
+testZmmTileMatchesYmmTile()
+{
+    if (!forceZmmOrSkip("zmm vs ymm tile sweep"))
+        return;
+    const std::vector<size_t> ms = {1, 5, 6, 7, 13, 197, 1576};
+    const std::vector<size_t> ns = {16, 32, 48, 197, 384, 1152};
+    const std::vector<size_t> ks = {1, 255, 256, 257, 1536, 3072};
+    const Gemm::Trans modes[] = {Gemm::Trans::None, Gemm::Trans::A,
+                                 Gemm::Trans::B};
+    const char *epiNames[] = {"none", "bias", "bias+gelu", "acc+bias"};
+    constexpr size_t kCombos = 4 * 3 * 2 * 2;
+    constexpr uint64_t kFullSweepMuls = uint64_t(1) << 18;
+    constexpr uint64_t kMaxMuls = uint64_t(1) << 27;
+
+    const Gemm::EpilogueMode modeBefore = Gemm::epilogueMode();
+    const size_t capBefore = Gemm::maxThreads();
+    Gemm::setEpilogueMode(Gemm::EpilogueMode::Fused);
+    ThreadPool pool(3);
+    Rng rng(0x2e32);
+    Matrix a, b, init, ymm, zmm;
+    size_t checked = 0, rotation = 0;
+    for (size_t m : ms) {
+        for (size_t n : ns) {
+            for (size_t k : ks) {
+                const uint64_t muls = uint64_t(m) * n * k;
+                if (muls > kMaxMuls)
+                    continue;
+                const Matrix bias = Matrix::randn(1, n, rng);
+                init = Matrix::randn(m, n, rng);
+                const bool full = muls <= kFullSweepMuls;
+                // A coprime stride walks all 48 combos across triples.
+                const size_t first = full ? 0 : (rotation++ * 7) % kCombos;
+                const size_t count = full ? kCombos : 1;
+                Gemm::Trans lastTrans = Gemm::Trans::None;
+                bool haveOperands = false;
+                std::optional<PackedMatrix> packed;
+                for (size_t c = first; c < first + count; ++c) {
+                    const size_t epi = c % 4;
+                    const Gemm::Trans trans = modes[(c / 4) % 3];
+                    const bool prepacked = (c / 12) % 2 != 0;
+                    const size_t bands = (c / 24) % 2 ? 3 : 1;
+                    if (!haveOperands || trans != lastTrans) {
+                        makeOperands(a, b, trans, m, n, k, rng);
+                        packed.emplace();
+                        packed->packFp32(b, trans == Gemm::Trans::B
+                                                ? Gemm::Trans::B
+                                                : Gemm::Trans::None);
+                        lastTrans = trans;
+                        haveOperands = true;
+                    }
+                    Gemm::Epilogue ep;
+                    if (epi == 1)
+                        ep = Gemm::Epilogue::withBias(bias);
+                    else if (epi == 2)
+                        ep = Gemm::Epilogue::withBiasGelu(bias);
+                    else if (epi == 3)
+                        ep = Gemm::Epilogue::accumulateWithBias(bias);
+                    Gemm::setMaxThreads(bands);
+                    const auto run = [&](Matrix &dst, size_t cols) {
+                        detail::setFp32TileCols(cols);
+                        dst.copyFrom(init);
+                        if (prepacked)
+                            Gemm::multiply(dst, a, *packed,
+                                           trans == Gemm::Trans::A
+                                               ? Gemm::Trans::A
+                                               : Gemm::Trans::None,
+                                           ep, Gemm::Backend::Avx2);
+                        else
+                            Gemm::multiply(dst, a, b, trans, ep,
+                                           Gemm::Backend::Avx2);
+                    };
+                    run(ymm, detail::kNr);
+                    run(zmm, 2 * detail::kNr);
+                    if (!(zmm == ymm)) {
+                        std::printf("  zmm != ymm: %s m=%zu n=%zu k=%zu "
+                                    "epilogue=%s %s bands=%zu (max diff "
+                                    "%g)\n",
+                                    transName(trans), m, n, k,
+                                    epiNames[epi],
+                                    prepacked ? "packed" : "per-call",
+                                    bands,
+                                    static_cast<double>(
+                                        maxAbsDiff(zmm, ymm)));
+                        T_CHECK(zmm == ymm);
+                    }
+                    ++checked;
+                }
+            }
+        }
+    }
+    detail::setFp32TileCols(0);
+    Gemm::setMaxThreads(capBefore);
+    Gemm::setEpilogueMode(modeBefore);
+    std::printf("  %zu zmm-vs-ymm combos bitwise-equal\n", checked);
+}
+
+/**
+ * Whole-model: a DeiT-Tiny ragged forward (eager weights and a
+ * compiled plan's prepacked panels) gives the same output bits on the
+ * zmm tile as on the ymm tile.
+ */
+void
+testZmmTileEncoderParity()
+{
+    if (!forceZmmOrSkip("zmm vs ymm encoder parity"))
+        return;
+    const Gemm::Backend backendBefore = Gemm::active();
+    const Gemm::QuantMode quantBefore = Gemm::quantMode();
+    Gemm::setActive(Gemm::Backend::Avx2);
+    Gemm::setQuantMode(Gemm::QuantMode::Off);
+    ThreadPool pool(3);
+    const VitConfig cfg = VitConfig::deitTiny();
+    Rng rng(0x7e32);
+    const Matrix x0 = Matrix::randn(cfg.tokens, cfg.dModel, rng);
+    const Matrix x1 = Matrix::randn(98, cfg.dModel, rng);
+    const Matrix x2 = Matrix::randn(1, cfg.dModel, rng);
+    const Matrix *images[] = {&x0, &x1, &x2};
+    const RaggedBatch x = RaggedBatch::fromMatrices(images, 3);
+
+    VitEncoder eager(cfg, makeAttention(AttentionType::Taylor), 0xd317);
+    VitEncoder planned(cfg, makeAttention(AttentionType::Taylor), 0xd317);
+    planned.compilePlan();
+    for (VitEncoder *enc : {&eager, &planned}) {
+        detail::setFp32TileCols(detail::kNr);
+        const RaggedBatch ymm = enc->forwardRagged(x, pool);
+        detail::setFp32TileCols(2 * detail::kNr);
+        const RaggedBatch zmm = enc->forwardRagged(x, pool);
+        T_CHECK(zmm == ymm);
+    }
+    detail::setFp32TileCols(0);
+    Gemm::setQuantMode(quantBefore);
+    Gemm::setActive(backendBefore);
+}
+
 } // namespace
 
 int
@@ -680,5 +872,7 @@ main()
     testGeluEpilogueSpecialValues();
     testEpilogueValidation();
     testForwardBatchCrossBackendParity();
+    testZmmTileMatchesYmmTile();
+    testZmmTileEncoderParity();
     return vitality::testing::finish("test_gemm");
 }

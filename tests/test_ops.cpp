@@ -10,6 +10,8 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 
 #include "base/rng.h"
@@ -188,6 +190,73 @@ testLayerNormBackendParity()
             T_CHECK(inplace == scalar);
         }
     }
+    Gemm::setActive(before);
+}
+
+/**
+ * Row-banded LayerNorm: above the size threshold layerNormRowsInto
+ * fans row bands over the installed parallel runner, and the bands
+ * give the same bits as one sequential sweep (rows are independent) on
+ * both backends, in place too. Below the threshold (a single serve
+ * image) it never touches the runner.
+ */
+void
+testLayerNormRowBands()
+{
+    const Gemm::Backend before = Gemm::active();
+    const size_t capBefore = Gemm::maxThreads();
+    const std::shared_ptr<const Gemm::ParallelRunner> runnerBefore =
+        Gemm::parallelRunner();
+    Gemm::setMaxThreads(0);
+    size_t runs = 0, tasks = 0;
+    auto counting = std::make_shared<Gemm::ParallelRunner>();
+    counting->width = [] { return size_t(3); };
+    counting->run = [&](size_t n, const std::function<void(size_t)> &fn) {
+        ++runs;
+        tasks += n;
+        for (size_t i = n; i-- > 0;) // reverse: order must not matter
+            fn(i);
+    };
+
+    struct Shape
+    {
+        size_t rows, cols, bands;
+    };
+    // DeiT-Small's offline batch (8 x 197 tokens) splits three ways;
+    // one DeiT-Tiny image stays on the calling thread.
+    const Shape shapes[] = {{1576, 384, 3}, {197, 192, 1}, {2, 65536, 2}};
+    Rng rng(0xabd1);
+    for (const Shape &sh : shapes) {
+        const Matrix x = Matrix::randn(sh.rows, sh.cols, rng, 0.5f, 2.0f);
+        const Matrix gamma = Matrix::randn(1, sh.cols, rng, 1.0f, 0.2f);
+        const Matrix beta = Matrix::randn(1, sh.cols, rng, 0.0f, 0.2f);
+        for (Gemm::Backend backend :
+             {Gemm::Backend::Scalar, Gemm::Backend::Avx2}) {
+            if (!Gemm::available(backend))
+                continue;
+            Gemm::setActive(backend);
+            Gemm::setParallelRunner(nullptr);
+            const Matrix seq = layerNormRows(x, gamma, beta);
+
+            Gemm::setParallelRunner(counting);
+            runs = tasks = 0;
+            const Matrix banded = layerNormRows(x, gamma, beta);
+            T_CHECK(banded == seq);
+            T_CHECK(tasks == (sh.bands > 1 ? sh.bands : 0));
+            T_CHECK(runs == (sh.bands > 1 ? 1u : 0u));
+            Matrix inplace = x;
+            layerNormRowsInto(inplace, inplace, gamma, beta);
+            T_CHECK(inplace == seq);
+            // The thread cap bounds the bands like the GEMM's.
+            Gemm::setMaxThreads(1);
+            runs = 0;
+            T_CHECK(layerNormRows(x, gamma, beta) == seq);
+            T_CHECK(runs == 0);
+            Gemm::setMaxThreads(0);
+        }
+    }
+    Gemm::setParallelRunner(runnerBefore);
+    Gemm::setMaxThreads(capBefore);
     Gemm::setActive(before);
 }
 
@@ -470,6 +539,7 @@ main()
     testSoftmaxStability();
     testLayerNorm();
     testLayerNormBackendParity();
+    testLayerNormRowBands();
     testIntoVariantsMatchValueTwins();
     testWorkspaceRecycling();
     testGelu();

@@ -234,6 +234,9 @@ testRuntimeOptionsResolution()
     one.quantMode = Gemm::QuantMode::Int8;
     T_CHECK(one.summary().find("quant=int8") != std::string::npos);
     T_CHECK(one.summary().find("gemm=-") != std::string::npos);
+    T_CHECK(one.summary().find("tile=-") != std::string::npos);
+    one.gemmBackend = Gemm::Backend::Scalar;
+    T_CHECK(one.summary().find("tile=scalar") != std::string::npos);
     T_CHECK(RuntimeOptions::fromEnv().summary().size() > 0);
 }
 
