@@ -24,8 +24,9 @@
  * hybrid never gate against each other.
  *
  * For each (model, kernel, batch) triple the bench runs the pooled
- * batched multi-head forward over packed inputs and reports mean and
- * median wall-clock per batch, per-image throughput, achieved GFLOP/s
+ * batched multi-head forward over a uniform-lens RaggedBatch of packed
+ * inputs and reports mean and median wall-clock per batch, per-image
+ * throughput, achieved GFLOP/s
  * (analytic per-image FLOPs x batch / median wall), and the analytic
  * per-image OpCounts. The sparse-branch kernels appear at both the
  * paper's training threshold (T = 0.5) and Sanger's default (0.02),
@@ -86,7 +87,6 @@
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
 #include "sparse/csr.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/matrix.h"
 #include "tensor/ragged_batch.h"
@@ -290,23 +290,23 @@ main(int argc, char **argv)
             vs.push_back(Matrix::randn(cfg.tokens, cfg.dModel, rng));
         }
 
-        // The inputs depend only on (model, batch); build each sliced
-        // view once instead of re-copying it per kernel.
+        // The inputs depend only on (model, batch); pack each
+        // uniform-lens ragged batch once instead of per kernel.
         struct BatchInputs
         {
             size_t batch;
-            Batch q, k, v;
+            RaggedBatch q, k, v;
+        };
+        auto pack = [](const std::vector<Matrix> &ms, size_t batch) {
+            std::vector<const Matrix *> ptrs;
+            for (size_t b = 0; b < batch; ++b)
+                ptrs.push_back(&ms[b]);
+            return RaggedBatch::fromMatrices(ptrs.data(), batch);
         };
         std::vector<BatchInputs> inputs;
         for (size_t batch : batchSizes) {
-            inputs.push_back(
-                {batch,
-                 Batch::fromMatrices(std::vector<Matrix>(
-                     qs.begin(), qs.begin() + batch)),
-                 Batch::fromMatrices(std::vector<Matrix>(
-                     ks.begin(), ks.begin() + batch)),
-                 Batch::fromMatrices(std::vector<Matrix>(
-                     vs.begin(), vs.begin() + batch))});
+            inputs.push_back({batch, pack(qs, batch), pack(ks, batch),
+                              pack(vs, batch)});
         }
 
         // Single-image end-to-end encoder rows: the 12-layer dense path
@@ -526,17 +526,17 @@ main(int argc, char **argv)
 
             for (const BatchInputs &in : inputs) {
                 const size_t batch = in.batch;
-                const Batch &q = in.q;
-                const Batch &k = in.k;
-                const Batch &v = in.v;
+                const RaggedBatch &q = in.q;
+                const RaggedBatch &k = in.k;
+                const RaggedBatch &v = in.v;
 
-                Batch out;
-                mha.forwardBatchInto(pool, q, k, v, out); // warmup
+                RaggedBatch out;
+                mha.forwardRaggedInto(pool, q, k, v, out); // warmup
 
                 std::vector<double> laps(static_cast<size_t>(reps));
                 for (int r = 0; r < reps; ++r) {
                     const double t0 = nowMs();
-                    mha.forwardBatchInto(pool, q, k, v, out);
+                    mha.forwardRaggedInto(pool, q, k, v, out);
                     laps[static_cast<size_t>(r)] = nowMs() - t0;
                 }
                 double mean_ms = 0.0;

@@ -20,8 +20,8 @@
  *    requested, so the first quantized request pays no lazy
  *    quantization;
  *  - the per-(maxBatch, maxTokens) workspace footprint is computed so
- *    the encoder pre-grows its arena and activation buffers at compile
- *    time and steady-state forwards acquire without allocating;
+ *    the encoder pre-grows its activation buffers at compile time and
+ *    steady-state forwards run without allocating;
  *  - a per-layer LayerSpec records which attention kernel and token
  *    keep-ratio each layer runs, parsed from the schedule grammar of
  *    attention/zoo.h ("taylor:0-7,softmax:8-11") with precedence

@@ -24,8 +24,9 @@
  * Determinism and parity: kept tokens preserve their original order
  * (ties broken by lower index), the CLS row is always kept, and a keep
  * ratio of 1.0 is a structural no-op — the encoder skips the pruner
- * entirely, which is what keeps the ragged path at keep=1.0
- * bitwise-identical to the uniform Batch path. Scratch buffers are
+ * entirely, which is what keeps the encoder at keep=1.0
+ * bitwise-identical to the unpruned per-image reference. Scratch
+ * buffers are
  * members recycled across calls, so steady-state pruning allocates
  * nothing.
  */

@@ -29,14 +29,15 @@ struct VitConfig
     size_t mlpHidden;  ///< MLP hidden width (4 x dModel for DeiT).
 
     /**
-     * Per-layer token keep-ratio schedule for the ragged forward path:
+     * Per-layer token keep-ratio schedule for every encoder forward:
      * after running layer l, the token pruner keeps tokenKeep[l] of
      * each image's non-CLS tokens (ranked by CLS-attention mass; see
      * model/token_pruner.h). Empty (the default) defers to the global
      * VITALITY_TOKENS knob expanded over the default staged schedule;
      * non-empty must have exactly `layers` entries in (0, 1]
      * (validate() enforces this). 1.0 entries prune nothing. The
-     * uniform Batch/Matrix forward paths ignore the schedule entirely.
+     * single-image forward applies it too (it is a one-image ragged
+     * view).
      */
     std::vector<float> tokenKeep;
 

@@ -20,12 +20,13 @@ const char *const kConcurrentCall =
     "VitEncoder: concurrent forward on one instance (activation "
     "buffers are not shareable; use one instance per caller)";
 
-// The per-layer float program is shared between the single-image and the
-// batched paths, which is what makes forwardBatch bitwise-identical to
-// per-image forward calls. Every dense stage rides the fused GEMM
-// epilogue (tensor/gemm.h): bias adds, the GELU, and the residual adds
-// happen in the GEMM write-back instead of as extra full passes over
-// the activations — and fused epilogues are bitwise-identical to the
+// One float program serves every entry point: forwardInto is a
+// one-image view over the same ragged core forwardRaggedInto runs, and
+// the helpers below run each dense stage over the whole concatenated
+// token buffer. Every dense stage rides the fused GEMM epilogue
+// (tensor/gemm.h): bias adds, the GELU, and the residual adds happen
+// in the GEMM write-back instead of as extra full passes over the
+// activations — and fused epilogues are bitwise-identical to the
 // unfused op sequence, so the parity guarantees survive the fusion.
 //
 // Each helper takes an optional QuantizedLayerWeights pointer: when
@@ -33,9 +34,9 @@ const char *const kConcurrentCall =
 // quantized twin — the fp32 activation is quantized per-row into a
 // thread-local scratch and multiplied against the cached int8 weights
 // with the very same epilogue descriptor, so bias/GELU/residual
-// semantics are unchanged. Quantization is a deterministic function of
-// the activation floats, so the batched path stays bitwise-identical
-// to per-image forward calls in int8 mode too.
+// semantics are unchanged. Quantization is a deterministic per-row
+// function of the activation floats, so an image's result stays
+// bitwise-independent of its batch-mates in int8 mode too.
 
 // Per-worker activation-quantization scratch. Each dense stage
 // re-quantizes into it, so at most one lives per pool worker.
@@ -220,25 +221,11 @@ VitEncoder::compilePlan(const PlanOptions &opts)
     }
 
     // Pre-grow every activation buffer to the plan's high-water
-    // footprint, so steady-state forwards acquire recycled storage
-    // from an already-sized arena instead of growing it mid-request.
+    // footprint, so steady-state forwards recycle already-sized storage
+    // instead of growing it mid-request.
     const size_t n = plan->maxTokens();
     const size_t batch = plan->maxBatch();
     const size_t d = cfg_.dModel;
-    const size_t h = cfg_.mlpHidden;
-    {
-        Workspace::Frame frame(ws_);
-        for (int slot = 0; slot < 6; ++slot)
-            ws_.acquire(n, d);
-        ws_.acquire(n, h);
-    }
-    bx_.resize(batch, n, d);
-    bnormed_.resize(batch, n, d);
-    bq_.resize(batch, n, d);
-    bk_.resize(batch, n, d);
-    bv_.resize(batch, n, d);
-    battn_.resize(batch, n, d);
-    bhidden_.resize(batch, n, h);
     const std::vector<size_t> rows(batch, n);
     rx_.resize(rows.data(), batch, d);
     rq_.resize(rows.data(), batch, d);
@@ -246,7 +233,7 @@ VitEncoder::compilePlan(const PlanOptions &opts)
     rv_.resize(rows.data(), batch, d);
     rattn_.resize(rows.data(), batch, d);
     rnormed_.resize(batch * n, d);
-    rhidden_.resize(batch * n, h);
+    rhidden_.resize(batch * n, cfg_.mlpHidden);
 
     plan_ = std::move(plan);
     planMha_ = std::move(mhas);
@@ -267,47 +254,18 @@ VitEncoder::mhaAt(size_t l)
 }
 
 void
-VitEncoder::forwardInto(const Matrix &x_in, ThreadPool &pool, Matrix &out)
+VitEncoder::forwardInto(const Matrix &x, ThreadPool &pool, Matrix &out)
 {
     CallGuard guard(inFlight_, kConcurrentCall);
-    if (x_in.rows() != cfg_.tokens || x_in.cols() != cfg_.dModel) {
+    if (x.rows() != cfg_.tokens || x.cols() != cfg_.dModel) {
         throw std::invalid_argument(
             strfmt("VitEncoder: input %s, expected [%zu x %zu]",
-                   x_in.shapeStr().c_str(), cfg_.tokens, cfg_.dModel));
+                   x.shapeStr().c_str(), cfg_.tokens, cfg_.dModel));
     }
-    VITALITY_DCHECK(check::allFinite(x_in.data(), x_in.size()),
-                    "VitEncoder: non-finite input");
-
-    const size_t n = cfg_.tokens;
-    const size_t d = cfg_.dModel;
-    const size_t h = cfg_.mlpHidden;
-
-    Workspace::Frame frame(ws_);
-    Matrix &x = ws_.acquire(n, d);
-    x.copyFrom(x_in);
-    Matrix &normed = ws_.acquire(n, d);
-    Matrix &q = ws_.acquire(n, d);
-    Matrix &k = ws_.acquire(n, d);
-    Matrix &v = ws_.acquire(n, d);
-    Matrix &attn = ws_.acquire(n, d);
-    Matrix &hidden = ws_.acquire(n, h);
-
-    const bool int8 = Gemm::quantMode() == Gemm::QuantMode::Int8;
-    if (int8)
-        ensureQuantizedWeights();
-
-    for (size_t l = 0; l < layers_.size(); ++l) {
-        const LayerWeights &w = layers_[l];
-        const QuantizedLayerWeights *qw = int8 ? &qlayers_[l] : nullptr;
-        const EncoderPlan::LayerPack *pk =
-            plan_ ? &plan_->pack(l) : nullptr;
-        attentionPre(w, qw, pk, x, normed, q, k, v);
-        mhaAt(l).forwardInto(pool, q, k, v, attn);
-        attentionPost(w, qw, pk, x, attn);
-        mlpBlock(w, qw, pk, x, normed, hidden);
-    }
-
-    out.copyFrom(x);
+    const Matrix *image = &x;
+    rx_.packFrom(&image, 1);
+    runLayers(pool);
+    rx_.unpackImage(0, out);
 }
 
 Matrix
@@ -319,91 +277,37 @@ VitEncoder::forward(const Matrix &x, ThreadPool &pool)
 }
 
 void
-VitEncoder::forwardBatchInto(const Batch &x_in, ThreadPool &pool,
-                             Batch &out)
+VitEncoder::forwardRaggedInto(const RaggedBatch &x, ThreadPool &pool,
+                              RaggedBatch &out)
 {
     CallGuard guard(inFlight_, kConcurrentCall);
-    if (x_in.size() == 0)
-        throw std::invalid_argument("VitEncoder: empty batch");
-    if (x_in.rows() != cfg_.tokens || x_in.cols() != cfg_.dModel) {
+    if (x.empty())
+        throw std::invalid_argument("VitEncoder: empty ragged batch");
+    if (x.cols() != cfg_.dModel) {
         throw std::invalid_argument(
-            strfmt("VitEncoder: batch %s, expected [B x %zu x %zu]",
-                   x_in.shapeStr().c_str(), cfg_.tokens, cfg_.dModel));
+            strfmt("VitEncoder: ragged batch %s, expected %zu columns",
+                   x.shapeStr().c_str(), cfg_.dModel));
     }
-#if VITALITY_CHECKED
-    for (size_t b = 0; b < x_in.size(); ++b)
-        VITALITY_DCHECK(check::allFinite(x_in[b].data(), x_in[b].size()),
-                        "VitEncoder: non-finite input image %zu", b);
-#endif
-
-    const size_t batch = x_in.size();
-    const size_t n = cfg_.tokens;
-    const size_t d = cfg_.dModel;
-    const size_t h = cfg_.mlpHidden;
-
-    bx_.copyFrom(x_in);
-    bnormed_.resize(batch, n, d);
-    bq_.resize(batch, n, d);
-    bk_.resize(batch, n, d);
-    bv_.resize(batch, n, d);
-    bhidden_.resize(batch, n, h);
-
-    const bool int8 = Gemm::quantMode() == Gemm::QuantMode::Int8;
-    if (int8)
-        ensureQuantizedWeights();
-
-    for (size_t l = 0; l < layers_.size(); ++l) {
-        const LayerWeights &w = layers_[l];
-        const QuantizedLayerWeights *qw = int8 ? &qlayers_[l] : nullptr;
-        const EncoderPlan::LayerPack *pk =
-            plan_ ? &plan_->pack(l) : nullptr;
-        // Dense pre-attention stages, one image per task. The per-image
-        // buffers are disjoint, so tasks never share floats, and GEMMs
-        // issued inside a task stay sequential (the Gemm runner reports
-        // width 1 on workers), so image-level parallelism is never
-        // oversubscribed by intra-GEMM bands.
-        pool.parallelFor(0, batch, [&](size_t b, size_t) {
-            attentionPre(w, qw, pk, bx_[b], bnormed_[b], bq_[b], bk_[b],
-                         bv_[b]);
-        });
-        // Attention: B x heads work items through per-worker contexts.
-        mhaAt(l).forwardBatchInto(pool, bq_, bk_, bv_, battn_);
-        // Output projection, residual, and MLP, one image per task.
-        pool.parallelFor(0, batch, [&](size_t b, size_t) {
-            attentionPost(w, qw, pk, bx_[b], battn_[b]);
-            mlpBlock(w, qw, pk, bx_[b], bnormed_[b], bhidden_[b]);
-        });
-    }
-
-    out.copyFrom(bx_);
+    VITALITY_CHECK(&out != &x, "VitEncoder: ragged out aliases the input");
+    rx_.copyFrom(x);
+    runLayers(pool);
+    out.copyFrom(rx_);
 }
 
-Batch
-VitEncoder::forwardBatch(const Batch &x, ThreadPool &pool)
+RaggedBatch
+VitEncoder::forwardRagged(const RaggedBatch &x, ThreadPool &pool)
 {
-    Batch out;
-    forwardBatchInto(x, pool, out);
+    RaggedBatch out;
+    forwardRaggedInto(x, pool, out);
     return out;
 }
 
 void
-VitEncoder::forwardRaggedInto(const RaggedBatch &x_in, ThreadPool &pool,
-                              RaggedBatch &out)
+VitEncoder::runLayers(ThreadPool &pool)
 {
-    CallGuard guard(inFlight_, kConcurrentCall);
-    if (x_in.empty())
-        throw std::invalid_argument("VitEncoder: empty ragged batch");
-    if (x_in.cols() != cfg_.dModel) {
-        throw std::invalid_argument(
-            strfmt("VitEncoder: ragged batch %s, expected %zu columns",
-                   x_in.shapeStr().c_str(), cfg_.dModel));
-    }
-    VITALITY_CHECK(&out != &x_in,
-                   "VitEncoder: ragged out aliases the input");
     VITALITY_DCHECK(
-        check::allFinite(x_in.buffer().data(),
-                         x_in.totalRows() * x_in.cols()),
-        "VitEncoder: non-finite ragged input");
+        check::allFinite(rx_.buffer().data(), rx_.totalRows() * rx_.cols()),
+        "VitEncoder: non-finite input");
 
     const size_t d = cfg_.dModel;
     const size_t h = cfg_.mlpHidden;
@@ -423,8 +327,6 @@ VitEncoder::forwardRaggedInto(const RaggedBatch &x_in, ThreadPool &pool,
         TokenPruner::buildSchedule(keepSched_, cfg_.layers,
                                    tokenKeepRatio());
     }
-
-    rx_.copyFrom(x_in);
 
     const bool int8 = Gemm::quantMode() == Gemm::QuantMode::Int8;
     if (int8)
@@ -457,22 +359,11 @@ VitEncoder::forwardRaggedInto(const RaggedBatch &x_in, ThreadPool &pool,
         mlpBlock(w, qw, pk, rx_.buffer(), rnormed_, rhidden_);
         // Progressive pruning: rank by this layer's CLS-attention mass
         // (from the packed Q/K the layer just used) and compact the
-        // survivors in place. keep=1.0 layers skip the pruner, which
-        // is what keeps the unpruned ragged path bitwise-identical to
-        // the uniform one.
+        // survivors in place. keep=1.0 layers skip the pruner, so an
+        // all-1.0 schedule leaves every token in place.
         if (keepSched_[l] < 1.0f)
             pruner_.prune(rx_, rq_, rk_, cfg_.heads, keepSched_[l]);
     }
-
-    out.copyFrom(rx_);
-}
-
-RaggedBatch
-VitEncoder::forwardRagged(const RaggedBatch &x, ThreadPool &pool)
-{
-    RaggedBatch out;
-    forwardRaggedInto(x, pool, out);
-    return out;
 }
 
 void

@@ -12,11 +12,11 @@
  * sparse, unified, ...) can be swapped in end-to-end. Every dense stage
  * (QKV/output projections, MLP) is a single fused GEMM call: bias adds,
  * the tanh-GELU, and the residual adds ride the GEMM epilogue
- * (tensor/gemm.h) instead of re-walking the activations, and the
- * single-image path additionally fans row bands of each GEMM across the
- * pool. forwardBatch runs
- * the same program over B images at once, fanning both the dense stages
- * (per image) and the attention (per image x head) across the pool. Weights are
+ * (tensor/gemm.h) instead of re-walking the activations. There is one
+ * execution path: every forward runs over a RaggedBatch of B images
+ * (a single image is the one-image batch), each dense stage as one GEMM
+ * over the concatenated tokens with row bands fanned across the pool,
+ * and the attention as B x heads work items. Weights are
  * randomly initialized (the repo reproduces the paper's compute and
  * accuracy *structure*, not trained checkpoints); everything is seeded,
  * so runs are bit-reproducible.
@@ -40,10 +40,8 @@
 #include "model/vit_config.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/quantized_matrix.h"
 #include "tensor/ragged_batch.h"
-#include "tensor/workspace.h"
 
 namespace vitality {
 
@@ -110,12 +108,11 @@ class VitEncoder
      * Compile and attach an execution plan (model/encoder_plan.h):
      * prepacks every dense-stage weight into the microkernel panel
      * layout, freezes the per-layer kernel/keep schedule, pre-grows
-     * the workspace arena and activation buffers to the plan's
-     * (maxBatch, maxTokens) high-water mark, and — for heterogeneous
-     * schedules — builds one MultiHeadAttention per layer. Subsequent
-     * forward/forwardBatch/forwardRagged calls execute through the
-     * plan; with a uniform schedule they are bitwise-identical to
-     * eager execution (test-asserted). Replaces any previous plan.
+     * the activation buffers to the plan's (maxBatch, maxTokens)
+     * high-water mark, and — for heterogeneous schedules — builds one
+     * MultiHeadAttention per layer. Subsequent forward/forwardRagged
+     * calls execute through the plan; with a uniform schedule they are
+     * bitwise-identical to eager execution (test-asserted). Replaces any previous plan.
      * Throws std::invalid_argument on malformed options and leaves the
      * encoder unplanned.
      */
@@ -131,39 +128,19 @@ class VitEncoder
     void clearPlan();
 
     /**
-     * Run the full encoder stack.
+     * Run the full encoder stack over one image: a one-image view of
+     * forwardRaggedInto, with the same keep schedule.
      *
      * @param x Token embeddings, tokens x dModel.
-     * @param pool Pool the per-layer attention heads fan out across.
-     * @param out Resized to tokens x dModel. All tensor storage
-     * (activations, attention scratch) is recycled after the first
-     * call; only the per-layer head dispatch still makes a few small
-     * control-block allocations (task closures, loop state).
+     * @param pool Pool dense row bands and attention heads fan across.
+     * @param out Resized to the SURVIVING tokens x dModel (all tokens
+     * under an all-1.0 schedule). Bitwise-identical to image 0 of
+     * forwardRaggedInto over x alone. All tensor storage is recycled
+     * after the first call.
      */
     void forwardInto(const Matrix &x, ThreadPool &pool, Matrix &out);
 
     Matrix forward(const Matrix &x, ThreadPool &pool);
-
-    /**
-     * Run the full encoder stack over a batch of B images.
-     *
-     * Per layer the dense stages (layer norms, QKV/output projections,
-     * MLP) are fanned across the pool one image per task, and the
-     * attention dispatch fans B x heads work items, which is what keeps
-     * a wide pool busy at small head counts. Per-image activation
-     * buffers are recycled across calls (Batch::resize semantics), and
-     * each pool worker runs attention through its own recycled
-     * AttentionContext, so the steady state stays allocation-free.
-     *
-     * @param x Batch of B token-embedding matrices, tokens x dModel.
-     * @param pool Pool the (image, head) work items fan out across.
-     * @param out Resized to B x tokens x dModel; must not alias x.
-     * Image b is bitwise-identical to forwardInto(x[b], ...) — the
-     * per-image float program is unchanged, only the scheduling differs.
-     */
-    void forwardBatchInto(const Batch &x, ThreadPool &pool, Batch &out);
-
-    Batch forwardBatch(const Batch &x, ThreadPool &pool);
 
     /**
      * Run the full encoder stack over a ragged batch of mixed
@@ -183,10 +160,11 @@ class VitEncoder
      * (TokenPruner::buildSchedule). out's per-image row counts are the
      * SURVIVING token counts, which may be smaller than the input's.
      *
-     * Parity contract (test-asserted): with an all-1.0 schedule the
-     * pruner never runs and image i of out is bitwise-identical to
-     * forwardInto(x[i]) / the uniform forwardBatch path; any image's
-     * result is bitwise-independent of what it shares the batch with.
+     * Parity contract (test-asserted): image i of out is
+     * bitwise-identical to forwardInto of that image alone — any
+     * image's result is bitwise-independent of what it shares the
+     * batch with — and, with an all-1.0 schedule (the pruner never
+     * runs), to a per-image reference built from the public stages.
      *
      * @param x Ragged batch; cols must equal dModel, any rows >= 1.
      * @param pool Pool dense row bands and attention items fan across.
@@ -216,6 +194,13 @@ class VitEncoder
     OpCounts opCounts() const;
 
   private:
+    /**
+     * The shared core of every forward, unguarded (the public entry
+     * points hold the CallGuard): runs all layers over rx_ in place,
+     * pruning it by the effective keep schedule.
+     */
+    void runLayers(ThreadPool &pool);
+
     /** Build qlayers_ from layers_ if not already cached. */
     void ensureQuantizedWeights();
 
@@ -229,18 +214,13 @@ class VitEncoder
     /** Lazily-built INT8 weight cache, empty until the first int8
      * forward (see QuantizedLayerWeights). */
     std::vector<QuantizedLayerWeights> qlayers_;
-    Workspace ws_;
     /**
-     * Per-image batch activations, recycled across forwardBatch calls.
-     * The old projection scratch is gone: output and MLP projections
-     * accumulate straight into bx_ through the fused GEMM epilogue.
-     */
-    Batch bx_, bnormed_, bq_, bk_, bv_, battn_, bhidden_;
-    /**
-     * Ragged-path activations, recycled across forwardRagged calls.
-     * rx_/rq_/rk_/rv_/rattn_ carry the per-image structure (attention
-     * needs the boundaries); rnormed_/rhidden_ are plain buffers the
-     * row-independent dense stages run over.
+     * Activations, recycled across forward calls and grown on first
+     * use (or by compilePlan). rx_/rq_/rk_/rv_/rattn_ carry the
+     * per-image structure (attention needs the boundaries);
+     * rnormed_/rhidden_ are plain buffers the row-independent dense
+     * stages run over. Output and MLP projections accumulate straight
+     * into rx_ through the fused GEMM epilogue.
      */
     RaggedBatch rx_, rq_, rk_, rv_, rattn_;
     Matrix rnormed_, rhidden_;
@@ -263,7 +243,7 @@ class VitEncoder
     std::vector<std::unique_ptr<MultiHeadAttention>> planMha_;
     /**
      * Set while a forward entry point is executing; the activation
-     * buffers above (and ws_) are shared per instance, so a concurrent
+     * buffers above are shared per instance, so a concurrent
      * same-instance call throws std::logic_error instead of silently
      * corrupting them (same contract as MultiHeadAttention).
      */

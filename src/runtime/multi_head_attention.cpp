@@ -56,30 +56,6 @@ MultiHeadAttention::checkShapes(const Matrix &q, const Matrix &k,
 }
 
 void
-MultiHeadAttention::checkBatchShapes(const Batch &q, const Batch &k,
-                                     const Batch &v) const
-{
-    if (q.size() == 0)
-        throw std::invalid_argument("multi-head: empty batch");
-    if (q.size() != k.size() || k.size() != v.size()) {
-        throw std::invalid_argument(
-            strfmt("multi-head: batch size mismatch Q=%zu K=%zu V=%zu",
-                   q.size(), k.size(), v.size()));
-    }
-    // Batch establishes the uniform-shape invariant at construction, but
-    // images are handed out mutably; re-validate so a reshaped image
-    // fails loudly here rather than corrupting the head slicing.
-    for (size_t b = 0; b < q.size(); ++b) {
-        checkShapes(q[b], k[b], v[b]);
-        if (q[b].rows() != q[0].rows() || q[b].cols() != q[0].cols() ||
-            k[b].rows() != k[0].rows()) {
-            throw std::invalid_argument(
-                strfmt("multi-head: non-uniform batch at image %zu", b));
-        }
-    }
-}
-
-void
 MultiHeadAttention::checkRaggedShapes(const RaggedBatch &q,
                                       const RaggedBatch &k,
                                       const RaggedBatch &v) const
@@ -103,8 +79,8 @@ MultiHeadAttention::checkRaggedShapes(const RaggedBatch &q,
                    q.cols(), heads_));
     }
     // RaggedBatch guarantees >= 1 rows per image; only the K/V row
-    // agreement is left to check (q rows may differ, as in the Matrix
-    // overload). The offsets are re-derived per work item, so a caller
+    // agreement is left to check (q rows may differ, as in the
+    // single-image reference). The offsets are re-derived per work item, so a caller
     // that reshaped a buffer behind the offsets fails here, not there.
     for (size_t b = 0; b < k.size(); ++b) {
         if (k.rowsOf(b) != v.rowsOf(b)) {
@@ -194,83 +170,6 @@ MultiHeadAttention::runRaggedItem(AttentionContext &ctx, size_t item,
 }
 
 void
-MultiHeadAttention::forwardInto(ThreadPool &pool, const Matrix &q,
-                                const Matrix &k, const Matrix &v,
-                                Matrix &out)
-{
-    CallGuard guard(inFlight_, kConcurrentCall);
-    checkShapes(q, k, v);
-    // out is resized before the heads read q/k/v, so aliasing an input
-    // would corrupt it mid-flight.
-    VITALITY_CHECK(&out != &q && &out != &k && &out != &v,
-                   "multi-head: out aliases an input");
-    ensureContexts(pool.size());
-
-    out.resize(q.rows(), q.cols());
-    // A single-worker pool buys no overlap; run the heads on the
-    // calling thread and skip H queue round-trips. Bitwise-identical:
-    // heads write disjoint column ranges either way.
-    if (pool.size() == 1) {
-        for (size_t head = 0; head < heads_; ++head)
-            runHead(*contexts_[0], head, q, k, v, out);
-        return;
-    }
-    pool.parallelFor(0, heads_, [&](size_t head, size_t worker) {
-        runHead(*contexts_[worker], head, q, k, v, out);
-    });
-}
-
-Matrix
-MultiHeadAttention::forward(ThreadPool &pool, const Matrix &q,
-                            const Matrix &k, const Matrix &v)
-{
-    Matrix out;
-    forwardInto(pool, q, k, v, out);
-    return out;
-}
-
-void
-MultiHeadAttention::forwardBatchInto(ThreadPool &pool, const Batch &q,
-                                     const Batch &k, const Batch &v,
-                                     Batch &out)
-{
-    CallGuard guard(inFlight_, kConcurrentCall);
-    checkBatchShapes(q, k, v);
-    VITALITY_CHECK(&out != &q && &out != &k && &out != &v,
-                   "multi-head: out aliases an input batch");
-    ensureContexts(pool.size());
-
-    out.resize(q.size(), q.rows(), q.cols());
-    // One work item per (image, head) pair: B x H items keep the pool
-    // busy even when H alone is smaller than the worker count. A
-    // single-worker pool runs them inline instead (no overlap to buy).
-    if (pool.size() == 1) {
-        for (size_t item = 0; item < q.size() * heads_; ++item) {
-            const size_t image = item / heads_;
-            const size_t head = item % heads_;
-            runHead(*contexts_[0], head, q[image], k[image], v[image],
-                    out[image]);
-        }
-        return;
-    }
-    pool.parallelFor(0, q.size() * heads_, [&](size_t item, size_t worker) {
-        const size_t image = item / heads_;
-        const size_t head = item % heads_;
-        runHead(*contexts_[worker], head, q[image], k[image], v[image],
-                out[image]);
-    });
-}
-
-Batch
-MultiHeadAttention::forwardBatch(ThreadPool &pool, const Batch &q,
-                                 const Batch &k, const Batch &v)
-{
-    Batch out;
-    forwardBatchInto(pool, q, k, v, out);
-    return out;
-}
-
-void
 MultiHeadAttention::forwardRaggedInto(ThreadPool &pool,
                                       const RaggedBatch &q,
                                       const RaggedBatch &k,
@@ -284,9 +183,9 @@ MultiHeadAttention::forwardRaggedInto(ThreadPool &pool,
     ensureContexts(pool.size());
 
     out.resizeLike(q);
-    // One work item per (image, head) pair, exactly like the uniform
-    // batch path; only the band lookup differs. A single-worker pool
-    // runs them inline (no overlap to buy).
+    // One work item per (image, head) pair: B x H items keep the pool
+    // busy even when H alone is smaller than the worker count. A
+    // single-worker pool runs them inline (no overlap to buy).
     if (pool.size() == 1) {
         for (size_t item = 0; item < q.size() * heads_; ++item)
             runRaggedItem(*contexts_[0], item, q, k, v, out);
@@ -326,32 +225,6 @@ MultiHeadAttention::forwardSequential(const Matrix &q, const Matrix &k,
 {
     Matrix out;
     forwardSequentialInto(q, k, v, out);
-    return out;
-}
-
-void
-MultiHeadAttention::forwardBatchSequentialInto(const Batch &q,
-                                               const Batch &k,
-                                               const Batch &v, Batch &out)
-{
-    CallGuard guard(inFlight_, kConcurrentCall);
-    checkBatchShapes(q, k, v);
-    VITALITY_CHECK(&out != &q && &out != &k && &out != &v,
-                   "multi-head: out aliases an input batch");
-    out.resize(q.size(), q.rows(), q.cols());
-    for (size_t image = 0; image < q.size(); ++image) {
-        for (size_t head = 0; head < heads_; ++head)
-            runHead(seqContext_, head, q[image], k[image], v[image],
-                    out[image]);
-    }
-}
-
-Batch
-MultiHeadAttention::forwardBatchSequential(const Batch &q, const Batch &k,
-                                           const Batch &v)
-{
-    Batch out;
-    forwardBatchSequentialInto(q, k, v, out);
     return out;
 }
 

@@ -12,15 +12,15 @@
  * multi-head attention. The output projection W_O lives in the model
  * layer, matching where the paper draws the attention-vs-linear boundary.
  *
- * The batched entry points take a Batch of B packed images and fan
- * B x H independent work items across the pool, which is what keeps the
- * workers busy at small head counts (H=3 for DeiT-Tiny leaves most of a
- * pool idle when only one image is in flight). The ragged entry points
- * do the same over a RaggedBatch (tensor/ragged_batch.h): every kernel
- * invocation runs at its image's own token count, reading its row band
- * of the contiguous packed buffer — the variable-token execution the
- * token-pruning model path and mixed-resolution serving dispatch
- * through.
+ * The pooled entry points take a RaggedBatch (tensor/ragged_batch.h)
+ * of B packed images and fan B x H independent work items across the
+ * pool, which is what keeps the workers busy at small head counts (H=3
+ * for DeiT-Tiny leaves most of a pool idle when only one image is in
+ * flight). Every kernel invocation runs at its image's own token count,
+ * reading its row band of the contiguous packed buffer — the
+ * variable-token execution the encoder, token pruning and
+ * mixed-resolution serving dispatch through. A single image is the
+ * one-image batch.
  *
  * Thread safety: one MultiHeadAttention instance owns per-worker
  * contexts, so concurrent forward calls on the same instance are not
@@ -40,7 +40,6 @@
 #include "attention/attention.h"
 #include "runtime/call_guard.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/ragged_batch.h"
 
 namespace vitality {
@@ -60,35 +59,6 @@ class MultiHeadAttention
     const AttentionKernel &kernel() const { return *kernel_; }
 
     /**
-     * Parallel forward over packed inputs.
-     *
-     * @param pool Pool to fan heads across.
-     * @param q,k,v Packed matrices, n x (heads * d_h), n >= 1, d_h >= 1.
-     * @param out Packed result, resized to n x (heads * d_h).
-     */
-    void forwardInto(ThreadPool &pool, const Matrix &q, const Matrix &k,
-                     const Matrix &v, Matrix &out);
-
-    Matrix forward(ThreadPool &pool, const Matrix &q, const Matrix &k,
-                   const Matrix &v);
-
-    /**
-     * Batched parallel forward: B x heads work items across the pool.
-     *
-     * @param pool Pool to fan (image, head) pairs across.
-     * @param q,k,v Batches of B packed matrices (all three the same B).
-     * @param out Resized to B x n x (heads * d_h); must not alias an
-     * input batch. Bitwise-identical to B forwardInto calls, one per
-     * image (each (image, head) pair is an independent float program;
-     * only the scheduling differs).
-     */
-    void forwardBatchInto(ThreadPool &pool, const Batch &q, const Batch &k,
-                          const Batch &v, Batch &out);
-
-    Batch forwardBatch(ThreadPool &pool, const Batch &q, const Batch &k,
-                       const Batch &v);
-
-    /**
      * Ragged parallel forward: B x heads work items across the pool,
      * every kernel invocation at its image's own token count.
      *
@@ -96,12 +66,12 @@ class MultiHeadAttention
      * @param q,k,v Ragged batches over one contiguous buffer each
      * (tensor/ragged_batch.h). All three must agree on image count and
      * columns; k and v must share per-image row counts (q's may
-     * differ, as in the Matrix overload).
+     * differ).
      * @param out Resized to q's image structure; must not alias an
-     * input. Image i is bitwise-identical to forwardInto on that
-     * image's matrices — each (image, head) pair is the same float
-     * program, reading a row band of the packed buffer instead of a
-     * standalone Matrix.
+     * input. Image i is bitwise-identical to forwardSequentialInto on
+     * that image's matrices — each (image, head) pair is the same
+     * float program, reading a row band of the packed buffer instead
+     * of a standalone Matrix.
      */
     void forwardRaggedInto(ThreadPool &pool, const RaggedBatch &q,
                            const RaggedBatch &k, const RaggedBatch &v,
@@ -111,22 +81,15 @@ class MultiHeadAttention
                               const RaggedBatch &k, const RaggedBatch &v);
 
     /**
-     * Reference path: identical computation, one head at a time on the
-     * calling thread. Bitwise-identical to the pooled path.
+     * Single-image reference: identical computation, one head at a time
+     * on the calling thread. Bitwise-identical to that image's slice of
+     * the pooled ragged path.
      */
     void forwardSequentialInto(const Matrix &q, const Matrix &k,
                                const Matrix &v, Matrix &out);
 
     Matrix forwardSequential(const Matrix &q, const Matrix &k,
                              const Matrix &v);
-
-    /** Batched sequential reference, bitwise-identical to the pooled
-     * batch path. */
-    void forwardBatchSequentialInto(const Batch &q, const Batch &k,
-                                    const Batch &v, Batch &out);
-
-    Batch forwardBatchSequential(const Batch &q, const Batch &k,
-                                 const Batch &v);
 
     /** Ragged sequential reference, bitwise-identical to the pooled
      * ragged path. */
@@ -148,8 +111,6 @@ class MultiHeadAttention
   private:
     void checkShapes(const Matrix &q, const Matrix &k,
                      const Matrix &v) const;
-    void checkBatchShapes(const Batch &q, const Batch &k,
-                          const Batch &v) const;
     void checkRaggedShapes(const RaggedBatch &q, const RaggedBatch &k,
                            const RaggedBatch &v) const;
     /** Grow contexts_ to at least workers entries, under contextsMutex_. */

@@ -53,14 +53,15 @@ namespace vitality {
 /**
  * @name Token keep-ratio knob (VITALITY_TOKENS)
  *
- * The global keep-ratio the ragged encoder path's token pruner applies
+ * The global keep-ratio the encoder's token pruner applies
  * when a VitConfig carries no explicit per-layer schedule: the
  * fraction of non-CLS tokens kept at each default prune point
  * (model/token_pruner.h builds the staged schedule). In (0, 1];
  * 1.0 = keep everything (pruning disabled, the default). Lazily
  * resolved from VITALITY_TOKENS on first read, same contract as the
  * other knob resolvers; malformed or out-of-range text warns and
- * falls back to 1.0. The uniform Batch/Matrix paths never consult it.
+ * falls back to 1.0. Every encoder forward, the single-image view
+ * included, consults it.
  */
 /// @{
 float tokenKeepRatio();

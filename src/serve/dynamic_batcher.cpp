@@ -4,8 +4,8 @@
 #include <exception>
 #include <utility>
 
+#include "base/check.h"
 #include "base/logging.h"
-#include "model/request_batch.h"
 
 namespace vitality {
 
@@ -78,6 +78,14 @@ DynamicBatcher::submit(const Matrix &tokens)
                    "rows",
                    tokens.shapeStr().c_str(), cfg.name.c_str(),
                    cfg.tokens));
+    }
+    // One NaN/Inf request would otherwise poison its whole batch (a
+    // checked build aborts on the encoder's finite-input contract; a
+    // release build serves NaN outputs), so it fails alone, here.
+    if (!check::allFinite(tokens.data(), tokens.size())) {
+        throw ServeError(ServeErrorCode::BadRequest,
+                         strfmt("submit: input %s has non-finite values",
+                                tokens.shapeStr().c_str()));
     }
 
     std::future<InferenceResponse> future;
@@ -160,7 +168,7 @@ DynamicBatcher::runBatch(std::vector<Pending> &batch)
         }
         // Ragged pack: requests keep their own token counts. A uniform
         // batch is just the special case where every count matches.
-        packRequests(packed_, inputPtrs_.data(), inputPtrs_.size());
+        packed_.packFrom(inputPtrs_.data(), inputPtrs_.size());
         {
             // Pinned options install under the process-wide gate; the
             // guard's destructor restores the prior mode before the
@@ -192,7 +200,7 @@ DynamicBatcher::runBatch(std::vector<Pending> &batch)
             Pending &p = batch[i];
             InferenceResponse resp;
             resp.requestId = p.id;
-            unpackImage(encoded_, i, resp.output);
+            encoded_.unpackImage(i, resp.output);
             resp.batchSize = batch.size();
             resp.queueMs = msBetween(p.enqueued, dispatchStart);
             resp.computeMs = computeMs;

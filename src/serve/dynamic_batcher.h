@@ -18,7 +18,7 @@
  *                  (latency bound — a lone request on an idle server
  *                  pays at most the window, not forever).
  *
- * The dispatcher packs via the ragged packRequests, runs
+ * The dispatcher packs via RaggedBatch::packFrom, runs
  * VitEncoder::forwardRaggedInto on the batcher's pool, and unpacks
  * each image's SURVIVING tokens into its request's future (under a
  * token-pruning keep ratio < 1.0 the response carries fewer rows than
@@ -65,7 +65,7 @@
 #include "runtime/thread_pool.h"
 #include "serve/inference.h"
 #include "serve/latency_reservoir.h"
-#include "tensor/batch.h"
+#include "tensor/ragged_batch.h"
 
 namespace vitality {
 
@@ -143,9 +143,10 @@ class DynamicBatcher
      * Enqueue one image (copied). Returns the future that completes
      * when the request's batch has run. Throws ServeError with
      * BadRequest for token-count-incompatible inputs (rows outside
-     * [1, preset tokens] or columns != dModel — typed here at the
-     * ingress instead of surfacing as a downstream VITALITY_CHECK
-     * abort), QueueFull, or Stopping; on throw, nothing was enqueued.
+     * [1, preset tokens] or columns != dModel) and for inputs holding
+     * a NaN/Inf value — typed here at the ingress instead of failing
+     * the whole batch downstream — QueueFull, or Stopping; on throw,
+     * nothing was enqueued.
      */
     std::future<InferenceResponse> submit(const Matrix &tokens);
 

@@ -4,7 +4,7 @@
  *
  * An InferenceRequest is one image's token matrix; its completion is a
  * std::future<InferenceResponse> the submitter holds while the
- * DynamicBatcher packs the request into a uniform Batch with whatever
+ * DynamicBatcher packs the request into a RaggedBatch with whatever
  * else arrived inside the batching window. The response carries the
  * encoded output plus the timing breakdown a latency SLO needs:
  * queueMs (submit to dispatch), computeMs (the batched forward), and
@@ -14,10 +14,11 @@
  * batchSize 1 and queueMs near the window).
  *
  * Failures that are the caller's fault or the server's state — queue
- * full, server stopping, unknown model, bad input shape — surface as
- * ServeError, which carries a machine-readable code so callers can
- * distinguish back-pressure (QueueFull: retry later) from terminal
- * conditions (Stopping, UnknownModel) without parsing what() text.
+ * full, server stopping, unknown model, bad input shape or non-finite
+ * input values — surface as ServeError, which carries a
+ * machine-readable code so callers can distinguish back-pressure
+ * (QueueFull: retry later) from terminal conditions (Stopping,
+ * UnknownModel) without parsing what() text.
  * Backpressure is synchronous: submit() throws rather than returning
  * a future that will fail, so the queue bound is enforced before the
  * caller ever blocks on a result. Compute-side exceptions propagate
@@ -42,7 +43,8 @@ enum class ServeErrorCode
     QueueFull,    ///< Bounded request queue at capacity; retry later.
     Stopping,     ///< Server/batcher is shutting down; terminal.
     UnknownModel, ///< No model registered under that key.
-    BadRequest,   ///< Input shape does not match the model's config.
+    BadRequest,   ///< Input shape does not match the model's config,
+                  ///< or the input holds a NaN/Inf value.
 };
 
 /** "queue_full", "stopping", "unknown_model", or "bad_request". */

@@ -62,9 +62,9 @@ ModelServer::addModel(const ModelConfig &config)
     // Compile the execution plan at registration, so serving never
     // packs a weight panel (or lazily quantizes a weight) after
     // startup: the per-model schedule/keep pins are frozen here, the
-    // workspace is pre-grown to the policy's maxBatch, and the int8
-    // twins are built eagerly when this model pins (or the process
-    // defaults to) int8 execution. A malformed model-pinned schedule
+    // activation buffers are pre-grown to the policy's maxBatch, and
+    // the int8 twins are built eagerly when this model pins (or the
+    // process defaults to) int8 execution. A malformed model-pinned schedule
     // fails registration, not the first dispatch; an ambient
     // VITALITY_LAYERS schedule too deep for this model is ignored with
     // a warning (the model runs uniform) so one global knob cannot

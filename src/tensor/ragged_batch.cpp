@@ -18,14 +18,6 @@ RaggedBatch::fromMatrices(const Matrix *const *inputs, size_t n)
     return out;
 }
 
-RaggedBatch
-RaggedBatch::fromBatch(const Batch &batch)
-{
-    RaggedBatch out;
-    out.packFrom(batch);
-    return out;
-}
-
 void
 RaggedBatch::checkIndex(size_t i) const
 {
@@ -120,26 +112,6 @@ RaggedBatch::packFrom(const Matrix *const *inputs, size_t n)
     for (size_t i = 0; i < n; ++i) {
         std::memcpy(buffer_.rowPtr(offsets_[i]), inputs[i]->data(),
                     inputs[i]->size() * sizeof(float));
-    }
-}
-
-void
-RaggedBatch::packFrom(const Batch &batch)
-{
-    if (batch.empty())
-        throw std::invalid_argument("RaggedBatch: empty batch");
-    if (batch.rows() == 0 || batch.cols() == 0)
-        throw std::invalid_argument(
-            strfmt("RaggedBatch: empty batch shape %s",
-                   batch.shapeStr().c_str()));
-    offsets_.resize(batch.size() + 1);
-    offsets_[0] = 0;
-    for (size_t i = 0; i < batch.size(); ++i)
-        offsets_[i + 1] = offsets_[i] + batch[i].rows();
-    buffer_.resize(offsets_[batch.size()], batch.cols());
-    for (size_t i = 0; i < batch.size(); ++i) {
-        std::memcpy(buffer_.rowPtr(offsets_[i]), batch[i].data(),
-                    batch[i].size() * sizeof(float));
     }
 }
 

@@ -2,14 +2,12 @@
  * @file
  * A variable-token batch: B images over one contiguous token buffer.
  *
- * Batch (tensor/batch.h) is uniform-shape by construction, so the
- * engine cannot express token-count diversity — the axis DynamicViT
- * token sparsification and mixed-resolution serving exploit. A
- * RaggedBatch is the variable-length counterpart: B images of n_i x
- * cols tokens stored back to back in one row-major buffer, described by
- * a cu_lens-style offsets array of B + 1 row offsets (offsets()[i] is
- * the first buffer row of image i; offsets()[B] is the total row
- * count). This is the layout LLMInfer's VarLenAttentionParams uses for
+ * Token-count diversity is the axis DynamicViT token sparsification
+ * and mixed-resolution serving exploit, so the engine's one batch type
+ * is variable-length: a RaggedBatch holds B images of n_i x cols
+ * tokens stored back to back in one row-major buffer, described by a
+ * cu_lens-style offsets array of B + 1 row offsets (offsets()[i] is the
+ * first buffer row of image i; offsets()[B] is the total row count). This is the layout LLMInfer's VarLenAttentionParams uses for
  * variable-length attention (SNIPPETS.md Snippet 1): consumers walk
  * [offsets()[i], offsets()[i+1]) instead of assuming a uniform n.
  *
@@ -17,14 +15,14 @@
  * per-row dense stage (layer norm, GEMM projections, GELU, residuals,
  * per-row activation quantization) can run over the WHOLE concatenated
  * buffer as one Matrix, because those stages are row-independent — the
- * model layer relies on this to keep the ragged encoder path
- * bitwise-identical per image to the uniform one. Only attention needs
- * the per-image boundaries.
+ * model layer relies on this to keep every image's result
+ * bitwise-independent of its batch-mates. Only attention needs the
+ * per-image boundaries.
  *
  * Invariants: every image has >= 1 rows (token row 0 is the CLS token
  * by model-layer convention) and cols >= 1; established by resize()/
  * packFrom() and relied on by the runtime layer. Storage recycles on
- * resize exactly like Matrix/Batch, so steady-state reuse is
+ * resize exactly like Matrix, so steady-state reuse is
  * allocation-free. shrinkRows() supports in-place token pruning: after
  * a caller compacts kept rows toward the front of the buffer, it
  * replaces the row structure without touching storage.
@@ -37,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "tensor/batch.h"
 #include "tensor/matrix.h"
 
 namespace vitality {
@@ -52,9 +49,6 @@ class RaggedBatch
     /** Adopt copies of n mixed-shape matrices (packFrom contract). */
     static RaggedBatch fromMatrices(const Matrix *const *inputs,
                                     size_t n);
-
-    /** A ragged copy of a uniform batch (same images, same values). */
-    static RaggedBatch fromBatch(const Batch &batch);
 
     /** Number of images B. */
     size_t size() const
@@ -119,9 +113,6 @@ class RaggedBatch
      * throws std::invalid_argument otherwise.
      */
     void packFrom(const Matrix *const *inputs, size_t n);
-
-    /** Pack a uniform batch (resized, storage recycled). */
-    void packFrom(const Batch &batch);
 
     /** Copy image i into dst (resized). std::out_of_range on bad i. */
     void unpackImage(size_t i, Matrix &dst) const;

@@ -7,7 +7,7 @@
  * the library itself is untouched). AllocationProbe snapshots the
  * counter so a test can assert that a code region performed zero heap
  * allocations: the "allocation-free in steady state" contract of the
- * *Into paths (attention forwardInto, VitEncoder forward/forwardBatch)
+ * *Into paths (attention forwardInto, VitEncoder forwardInto/forwardRaggedInto)
  * becomes a failing test instead of a comment.
  *
  * Counting is process-global and thread-safe (relaxed atomics); a

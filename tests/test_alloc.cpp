@@ -5,7 +5,7 @@
  *
  * The *Into paths document that after warm-up (first call at a given
  * shape) they perform no heap allocations: every intermediate lives in
- * a recycled Workspace / Batch / CsrMask. This suite turns that
+ * a recycled Workspace / RaggedBatch / CsrMask. This suite turns that
  * comment into a failing test: warm each path twice, then assert an
  * AllocationProbe around a third call observes zero allocations.
  *
@@ -20,8 +20,8 @@
 #include "base/rng.h"
 #include "model/vit_encoder.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
+#include "tensor/ragged_batch.h"
 
 #include "alloc_tracker.h"
 #include "testing.h"
@@ -91,7 +91,8 @@ testZooForwardIntoAllocationFree()
     }
 }
 
-/** VitEncoder::forwardInto is allocation-free once warm. */
+/** The single-image VitEncoder::forwardInto view is allocation-free
+ * once warm. */
 void
 testEncoderForwardAllocationFree()
 {
@@ -117,25 +118,19 @@ testEncoderForwardAllocationFree()
     }
 }
 
-/** VitEncoder::forwardBatchInto is allocation-free once warm. */
-void
-testEncoderForwardBatchAllocationFree()
+/** Three images of 1, 9 and cfg.tokens rows. */
+RaggedBatch
+mixedLensBatch(const VitConfig &cfg, uint64_t seed)
 {
-    const VitConfig cfg = allocConfig();
-    const size_t images = 3;
-    Rng rng(0xa112);
-    const Batch x =
-        Batch::randn(images, cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f);
-    ThreadPool pool(1);
-
-    VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
-    Batch out;
-    enc.forwardBatchInto(x, pool, out);
-    enc.forwardBatchInto(x, pool, out);
-
-    testing::AllocationProbe probe;
-    enc.forwardBatchInto(x, pool, out);
-    T_CHECK(probe.allocations() == 0);
+    Rng rng(seed);
+    std::vector<Matrix> imgs;
+    imgs.push_back(Matrix::randn(1, cfg.dModel, rng, 0.0f, 0.5f));
+    imgs.push_back(Matrix::randn(9, cfg.dModel, rng, 0.0f, 0.5f));
+    imgs.push_back(Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f));
+    std::vector<const Matrix *> ptrs;
+    for (const Matrix &m : imgs)
+        ptrs.push_back(&m);
+    return RaggedBatch::fromMatrices(ptrs.data(), ptrs.size());
 }
 
 /**
@@ -147,16 +142,7 @@ void
 testEncoderForwardRaggedAllocationFree()
 {
     const VitConfig cfg = allocConfig();
-    Rng rng(0xa114);
-    std::vector<Matrix> imgs;
-    imgs.push_back(Matrix::randn(1, cfg.dModel, rng, 0.0f, 0.5f));
-    imgs.push_back(Matrix::randn(9, cfg.dModel, rng, 0.0f, 0.5f));
-    imgs.push_back(Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f));
-    std::vector<const Matrix *> ptrs;
-    for (const Matrix &m : imgs)
-        ptrs.push_back(&m);
-    const RaggedBatch x =
-        RaggedBatch::fromMatrices(ptrs.data(), ptrs.size());
+    const RaggedBatch x = mixedLensBatch(cfg, 0xa114);
     ThreadPool pool(1);
 
     VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
@@ -181,29 +167,29 @@ testEncoderForwardRaggedAllocationFree()
 }
 
 /**
- * The INT8 dense path is allocation-free once warm too: the quantized
- * weight cache is built on the first int8 forward, and the per-call
- * activation quantization writes into recycled thread-local scratch.
+ * The INT8 dense path is allocation-free once warm too, over a
+ * mixed-lens ragged batch with pruning engaged: the quantized weight
+ * cache is built on the first int8 forward, and the per-call activation
+ * quantization writes into recycled thread-local scratch.
  */
 void
-testEncoderInt8ForwardAllocationFree()
+testEncoderInt8RaggedAllocationFree()
 {
     const Gemm::QuantMode prev = Gemm::quantMode();
     Gemm::setQuantMode(Gemm::QuantMode::Int8);
 
-    const VitConfig cfg = allocConfig();
-    Rng rng(0xa113);
-    const Matrix x =
-        Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f);
+    VitConfig cfg = allocConfig();
+    cfg.tokenKeep = {0.5f, 1.0f};
+    const RaggedBatch x = mixedLensBatch(cfg, 0xa113);
     ThreadPool pool(1);
 
     VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
-    Matrix out;
-    enc.forwardInto(x, pool, out); // builds the int8 weight cache
-    enc.forwardInto(x, pool, out);
+    RaggedBatch out;
+    enc.forwardRaggedInto(x, pool, out); // builds the int8 weight cache
+    enc.forwardRaggedInto(x, pool, out);
 
     testing::AllocationProbe probe;
-    enc.forwardInto(x, pool, out);
+    enc.forwardRaggedInto(x, pool, out);
     T_CHECK(probe.allocations() == 0);
 
     Gemm::setQuantMode(prev);
@@ -217,8 +203,7 @@ main()
     testTrackerObservesAllocations();
     testZooForwardIntoAllocationFree();
     testEncoderForwardAllocationFree();
-    testEncoderForwardBatchAllocationFree();
     testEncoderForwardRaggedAllocationFree();
-    testEncoderInt8ForwardAllocationFree();
+    testEncoderInt8RaggedAllocationFree();
     return vitality::testing::finish("test_alloc");
 }

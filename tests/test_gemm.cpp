@@ -32,7 +32,6 @@
 #include "model/vit_config.h"
 #include "model/vit_encoder.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_pack.h"
 #include "tensor/matrix.h"
@@ -648,7 +647,7 @@ testEpilogueValidation()
  * far tighter than any real kernel bug.
  */
 void
-testForwardBatchCrossBackendParity()
+testBatchedMhaCrossBackendParity()
 {
     if (!avx2Here()) {
         std::printf("  avx2 unavailable; cross-backend batch parity "
@@ -659,20 +658,29 @@ testForwardBatchCrossBackendParity()
     ThreadPool pool;
     Rng rng(0x77);
     const size_t tokens = 197, heads = 6, dModel = 6 * 64, batchN = 3;
-    Batch q = Batch::randn(batchN, tokens, dModel, rng, 0.0f, 0.5f);
-    Batch k = Batch::randn(batchN, tokens, dModel, rng, 0.0f, 0.5f);
-    Batch v = Batch::randn(batchN, tokens, dModel, rng);
+    const size_t lens[batchN] = {tokens, tokens, tokens};
+    RaggedBatch q, k, v;
+    for (RaggedBatch *rb : {&q, &k, &v})
+        rb->resize(lens, batchN, dModel);
+    q.buffer().copyFrom(
+        Matrix::randn(batchN * tokens, dModel, rng, 0.0f, 0.5f));
+    k.buffer().copyFrom(
+        Matrix::randn(batchN * tokens, dModel, rng, 0.0f, 0.5f));
+    v.buffer().copyFrom(Matrix::randn(batchN * tokens, dModel, rng));
 
     for (AttentionType type : {AttentionType::Taylor,
                                AttentionType::Softmax,
                                AttentionType::Unified}) {
         MultiHeadAttention mha(makeAttention(type), heads);
         Gemm::setActive(Gemm::Backend::Scalar);
-        Batch outScalar = mha.forwardBatch(pool, q, k, v);
+        RaggedBatch outScalar = mha.forwardRagged(pool, q, k, v);
         Gemm::setActive(Gemm::Backend::Avx2);
-        Batch outAvx2 = mha.forwardBatch(pool, q, k, v);
+        RaggedBatch outAvx2 = mha.forwardRagged(pool, q, k, v);
+        Matrix imgScalar, imgAvx2;
         for (size_t i = 0; i < batchN; ++i) {
-            const float diff = maxAbsDiff(outScalar[i], outAvx2[i]);
+            outScalar.unpackImage(i, imgScalar);
+            outAvx2.unpackImage(i, imgAvx2);
+            const float diff = maxAbsDiff(imgScalar, imgAvx2);
             if (!(diff <= 1e-3f)) {
                 std::printf("  %s image %zu: cross-backend diff %g\n",
                             attentionTypeName(type).c_str(), i,
@@ -681,9 +689,7 @@ testForwardBatchCrossBackendParity()
             }
         }
         // Same backend twice is bitwise-identical (determinism).
-        Batch outAvx2b = mha.forwardBatch(pool, q, k, v);
-        for (size_t i = 0; i < batchN; ++i)
-            T_CHECK(outAvx2[i] == outAvx2b[i]);
+        T_CHECK(outAvx2 == mha.forwardRagged(pool, q, k, v));
     }
     Gemm::setActive(before);
 }
@@ -871,7 +877,7 @@ main()
     testGeluEpilogueProgram();
     testGeluEpilogueSpecialValues();
     testEpilogueValidation();
-    testForwardBatchCrossBackendParity();
+    testBatchedMhaCrossBackendParity();
     testZmmTileMatchesYmmTile();
     testZmmTileEncoderParity();
     return vitality::testing::finish("test_gemm");

@@ -1,9 +1,10 @@
 /**
  * @file
  * Model-layer tests: DeiT presets, the DeiT-Tiny encoder end-to-end with
- * both the Taylor and softmax kernels, determinism, allocation-free
- * steady state, and the model-level OpCounts rollup against the per-head
- * counts scaled by heads x layers.
+ * both the Taylor and softmax kernels, determinism, ragged batches
+ * against the single-image view and the per-image reference
+ * (reference_encoder.h), and the model-level OpCounts rollup against the
+ * per-head counts scaled by heads x layers.
  */
 
 #include <cmath>
@@ -11,17 +12,20 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "attention/zoo.h"
 #include "base/rng.h"
 #include "model/vit_config.h"
 #include "model/vit_encoder.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "tensor/ragged_batch.h"
+#include "reference_encoder.h"
 #include "testing.h"
 
 using namespace vitality;
+using testing::referenceForward;
 
 namespace {
 
@@ -50,7 +54,8 @@ allFinite(const Matrix &m)
 void
 testDeitTinyEndToEnd()
 {
-    const VitConfig cfg = VitConfig::deitTiny();
+    VitConfig cfg = VitConfig::deitTiny();
+    cfg.tokenKeep.assign(cfg.layers, 1.0f); // pin: shape checks below
     Rng rng(0x3311);
     const Matrix x =
         Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 1.0f);
@@ -115,38 +120,47 @@ testOpCountRollup()
 }
 
 void
-testEncoderBatchMatchesPerImage()
+testEncoderRaggedMatchesPerImage()
 {
     // A small config keeps the three-kernel sweep fast while exercising
     // the same code paths as the DeiT presets.
-    const VitConfig cfg{"Test-Small", 2, 3, 48, 19, 96, {}, {}};
+    VitConfig cfg{"Test-Small", 2, 3, 48, 19, 96, {}, {}};
+    cfg.tokenKeep.assign(cfg.layers, 1.0f); // pin: reference is unpruned
     cfg.validate();
     Rng rng(0x3422);
-    const Batch x = Batch::randn(3, cfg.tokens, cfg.dModel, rng);
+    std::vector<Matrix> imgs;
+    std::vector<const Matrix *> ptrs;
+    for (int b = 0; b < 3; ++b)
+        imgs.push_back(Matrix::randn(cfg.tokens, cfg.dModel, rng));
+    for (const Matrix &m : imgs)
+        ptrs.push_back(&m);
+    const RaggedBatch x = RaggedBatch::fromMatrices(ptrs.data(), 3);
     ThreadPool pool(4);
 
     for (AttentionType type :
          {AttentionType::Taylor, AttentionType::Softmax,
           AttentionType::Unified}) {
         VitEncoder encoder(cfg, makeAttention(type), 0x7777);
-        const Batch y = encoder.forwardBatch(x, pool);
-        T_CHECK(y.size() == x.size() && y.rows() == cfg.tokens &&
-                y.cols() == cfg.dModel);
-        // Bitwise parity with per-image execution: the per-image float
-        // program is shared between the two paths.
-        for (size_t b = 0; b < x.size(); ++b)
-            T_CHECK(y[b] == encoder.forward(x[b], pool));
+        const RaggedBatch y = encoder.forwardRagged(x, pool);
+        T_CHECK(y.offsets() == x.offsets() && y.cols() == cfg.dModel);
+        // Bitwise parity with the single-image view and the per-image
+        // reference built from the public stages.
+        Matrix img;
+        for (size_t b = 0; b < imgs.size(); ++b) {
+            y.unpackImage(b, img);
+            T_CHECK(img == encoder.forward(imgs[b], pool));
+            T_CHECK(img == referenceForward(encoder, imgs[b]));
+        }
         // Recycled rerun stays identical.
-        T_CHECK(encoder.forwardBatch(x, pool) == y);
+        T_CHECK(encoder.forwardRagged(x, pool) == y);
     }
 
     VitEncoder encoder(cfg, makeAttention(AttentionType::Taylor), 0x7777);
-    const Batch empty;
-    T_CHECK_THROWS(encoder.forwardBatch(empty, pool),
+    const RaggedBatch empty;
+    T_CHECK_THROWS(encoder.forwardRagged(empty, pool),
                    std::invalid_argument);
-    const Batch wrong = Batch::randn(2, cfg.tokens + 1, cfg.dModel, rng);
-    T_CHECK_THROWS(encoder.forwardBatch(wrong, pool),
-                   std::invalid_argument);
+    const Matrix wrong = Matrix::randn(cfg.tokens + 1, cfg.dModel, rng);
+    T_CHECK_THROWS(encoder.forward(wrong, pool), std::invalid_argument);
 }
 
 /**
@@ -213,15 +227,15 @@ testEncoderRejectsConcurrentCalls()
     ThreadPool pool(2);
     Rng rng(0x3455);
     const Matrix x = Matrix::randn(cfg.tokens, cfg.dModel, rng);
-    const Batch xb = Batch::randn(2, cfg.tokens, cfg.dModel, rng);
+    const RaggedBatch xr = testing::oneImage(x);
 
     std::thread first([&] { (void)encoder.forward(x, pool); });
     kernel->waitEntered();
 
     Matrix out;
     T_CHECK_THROWS(encoder.forwardInto(x, pool, out), std::logic_error);
-    Batch bout;
-    T_CHECK_THROWS(encoder.forwardBatchInto(xb, pool, bout),
+    RaggedBatch rout;
+    T_CHECK_THROWS(encoder.forwardRaggedInto(xr, pool, rout),
                    std::logic_error);
 
     kernel->release();
@@ -279,17 +293,25 @@ testEncoderMatchesUnfusedReference()
 }
 
 void
-testDeitTinyBatchParity()
+testDeitTinyRaggedParity()
 {
     // One real-preset spot check: DeiT-Tiny, Taylor, B=2.
-    const VitConfig cfg = VitConfig::deitTiny();
+    VitConfig cfg = VitConfig::deitTiny();
+    cfg.tokenKeep.assign(cfg.layers, 1.0f); // pin: reference is unpruned
     Rng rng(0x3433);
-    const Batch x = Batch::randn(2, cfg.tokens, cfg.dModel, rng);
+    const Matrix x0 = Matrix::randn(cfg.tokens, cfg.dModel, rng);
+    const Matrix x1 = Matrix::randn(cfg.tokens, cfg.dModel, rng);
+    const Matrix *ptrs[] = {&x0, &x1};
     ThreadPool pool(4);
     VitEncoder encoder(cfg, makeAttention(AttentionType::Taylor), 0x1234);
-    const Batch y = encoder.forwardBatch(x, pool);
-    for (size_t b = 0; b < x.size(); ++b)
-        T_CHECK(y[b] == encoder.forward(x[b], pool));
+    const RaggedBatch y =
+        encoder.forwardRagged(RaggedBatch::fromMatrices(ptrs, 2), pool);
+    Matrix img;
+    for (size_t b = 0; b < 2; ++b) {
+        y.unpackImage(b, img);
+        T_CHECK(img == encoder.forward(*ptrs[b], pool));
+        T_CHECK(img == referenceForward(encoder, *ptrs[b]));
+    }
 }
 
 } // namespace
@@ -300,9 +322,9 @@ main()
     testPresets();
     testDeitTinyEndToEnd();
     testOpCountRollup();
-    testEncoderBatchMatchesPerImage();
+    testEncoderRaggedMatchesPerImage();
     testEncoderRejectsConcurrentCalls();
     testEncoderMatchesUnfusedReference();
-    testDeitTinyBatchParity();
+    testDeitTinyRaggedParity();
     return vitality::testing::finish("test_model");
 }

@@ -6,11 +6,12 @@
  * The acceptance-grade assertion lives here: a planned encoder with a
  * uniform schedule is BITWISE-identical to the eager encoder — for
  * every kernel in the zoo, under fp32 and int8 dense stages, with
- * pruning off (keep 1.0) and on (keep 0.5), across the Matrix, Batch,
- * and Ragged forward paths. The prepacked weight panels are the same
- * bytes the per-call pack loop would have produced and the scalar
- * backend runs an unpack-free reference path, so "prepacked" must
- * never mean "different floats".
+ * pruning off (keep 1.0) and on (keep 0.5), through the single-image
+ * view and the ragged path; every ragged image also equals that image
+ * alone and, unpruned, the per-image reference (reference_encoder.h).
+ * The prepacked weight panels are the same bytes the per-call pack
+ * loop would have produced and the scalar backend runs an unpack-free
+ * reference path, so "prepacked" must never mean "different floats".
  *
  * Heterogeneous schedules are cross-checked against ground truth:
  * kernel construction is deterministic, so a Taylor encoder planned
@@ -33,6 +34,7 @@
 #include "tensor/packed_weights.h"
 #include "tensor/quantized_matrix.h"
 #include "tensor/ragged_batch.h"
+#include "reference_encoder.h"
 #include "testing.h"
 
 using namespace vitality;
@@ -176,7 +178,8 @@ testPackedGemmInt8Parity()
 }
 
 /** Run every forward path of an encoder pair and assert bitwise
- * parity between them. */
+ * parity between them, and of each ragged image against that image
+ * alone and (unpruned) the per-image reference. */
 void
 checkEncoderParity(VitEncoder &ref, VitEncoder &planned,
                    ThreadPool &pool)
@@ -187,19 +190,25 @@ checkEncoderParity(VitEncoder &ref, VitEncoder &planned,
         Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 1.0f);
     T_CHECK(ref.forward(x, pool) == planned.forward(x, pool));
 
-    Batch bx;
-    bx.resize(2, cfg.tokens, cfg.dModel);
-    bx[0].copyFrom(x);
-    bx[1].copyFrom(Matrix::randn(cfg.tokens, cfg.dModel, rng));
-    T_CHECK(ref.forwardBatch(bx, pool) == planned.forwardBatch(bx, pool));
-
     RaggedBatch rx;
     const size_t rows[2] = {cfg.tokens, cfg.tokens - 5};
     rx.resize(rows, 2, cfg.dModel);
     rx.buffer().copyFrom(
         Matrix::randn(rx.totalRows(), cfg.dModel, rng, 0.0f, 1.0f));
-    T_CHECK(ref.forwardRagged(rx, pool) ==
-            planned.forwardRagged(rx, pool));
+    const RaggedBatch want = ref.forwardRagged(rx, pool);
+    T_CHECK(want == planned.forwardRagged(rx, pool));
+
+    Matrix in, img;
+    for (size_t i = 0; i < rx.size(); ++i) {
+        rx.unpackImage(i, in);
+        want.unpackImage(i, img);
+        T_CHECK(img == testing::forwardAlone(ref, in, pool));
+        T_CHECK(img == testing::forwardAlone(planned, in, pool));
+        if (!testing::prunesTokens(ref)) {
+            T_CHECK(img == testing::referenceForward(ref, in));
+            T_CHECK(img == testing::referenceForward(planned, in));
+        }
+    }
 }
 
 /** Uniform-schedule planned execution is bitwise-identical to eager
@@ -336,8 +345,9 @@ testScheduleValidation()
     setLayerKernelSchedule("");
 }
 
-/** Planned forwardRagged allocates nothing once warm: the workspace
- * was pre-grown at compile time and no per-call packing remains. */
+/** Planned forwardRagged allocates nothing once warm: the activation
+ * buffers were pre-grown at compile time and no per-call packing
+ * remains. */
 void
 testPlannedRaggedZeroAlloc()
 {

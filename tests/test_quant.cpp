@@ -21,6 +21,7 @@
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/quantized_matrix.h"
+#include "tensor/ragged_batch.h"
 #include "testing.h"
 
 using namespace vitality;
@@ -413,10 +414,14 @@ testEncoderInt8Deviation()
     ModeGuard guard;
     ThreadPool pool(2);
 
-    const VitConfig small = VitConfig::deitSmall();
+    // Pinned all-1.0 schedules: fp32 and int8 must compare the same
+    // token rows even under a VITALITY_TOKENS pruning sweep.
+    VitConfig small = VitConfig::deitSmall();
+    small.tokenKeep.assign(small.layers, 1.0f);
     VitConfig baseish = VitConfig::deitBase();
     baseish.layers = 2; // full Base is bench territory; keep tests fast
     baseish.tokens = 64;
+    baseish.tokenKeep.assign(baseish.layers, 1.0f);
     const struct
     {
         const VitConfig &cfg;
@@ -444,15 +449,16 @@ testEncoderInt8Deviation()
                         tc.bound);
         }
 
-        // Int8 mode is deterministic and batched forward stays
+        // Int8 mode is deterministic and a batched ragged forward stays
         // bitwise-identical to per-image forward.
         T_CHECK(encoder.forward(x, pool) == yQ);
-        Batch bx;
-        bx.resize(2, tc.cfg.tokens, tc.cfg.dModel);
-        bx[0].copyFrom(x);
-        bx[1].copyFrom(x);
-        Batch by = encoder.forwardBatch(bx, pool);
-        T_CHECK(by[0] == yQ && by[1] == yQ);
+        const Matrix *ptrs[] = {&x, &x};
+        const RaggedBatch by =
+            encoder.forwardRagged(RaggedBatch::fromMatrices(ptrs, 2), pool);
+        Matrix img0, img1;
+        by.unpackImage(0, img0);
+        by.unpackImage(1, img1);
+        T_CHECK(img0 == yQ && img1 == yQ);
     }
 }
 

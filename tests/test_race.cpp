@@ -1,7 +1,7 @@
 /**
  * @file
  * Concurrency stress tests, written for the ThreadSanitizer CI leg
- * (they also run in the plain suites): concurrent forwardBatch on
+ * (they also run in the plain suites): concurrent forwardRagged on
  * distinct encoders sharing one pool, ThreadPool construction and
  * destruction racing in-flight GEMMs (both the uninstall path and the
  * runner handoff to a surviving pool), and CallGuard contention on a
@@ -23,12 +23,14 @@
 #include "model/vit_encoder.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
+#include "tensor/ragged_batch.h"
 
+#include "reference_encoder.h"
 #include "testing.h"
 
 using namespace vitality;
+using testing::oneImage;
 
 namespace {
 
@@ -56,26 +58,30 @@ void
 testConcurrentEncodersShareOnePool()
 {
     const VitConfig cfg = raceConfig();
-    const size_t callers = 3, images = 2;
+    const size_t callers = 3;
     ThreadPool pool(3);
 
     std::vector<std::unique_ptr<VitEncoder>> encoders;
-    std::vector<Batch> inputs, refs;
+    std::vector<RaggedBatch> inputs, refs;
     for (size_t c = 0; c < callers; ++c) {
         encoders.push_back(std::make_unique<VitEncoder>(
             cfg, makeAttention(AttentionType::Taylor), 0x5eed + c));
         Rng rng(0xba7c + c);
-        inputs.push_back(
-            Batch::randn(images, cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f));
-        refs.push_back(encoders[c]->forwardBatch(inputs[c], pool));
+        const Matrix a =
+            Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f);
+        const Matrix b =
+            Matrix::randn(cfg.tokens - 5, cfg.dModel, rng, 0.0f, 0.5f);
+        const Matrix *ptrs[] = {&a, &b};
+        inputs.push_back(RaggedBatch::fromMatrices(ptrs, 2));
+        refs.push_back(encoders[c]->forwardRagged(inputs[c], pool));
     }
 
     std::vector<std::thread> threads;
     for (size_t c = 0; c < callers; ++c) {
         threads.emplace_back([&, c] {
             for (int iter = 0; iter < 4; ++iter) {
-                const Batch out =
-                    encoders[c]->forwardBatch(inputs[c], pool);
+                const RaggedBatch out =
+                    encoders[c]->forwardRagged(inputs[c], pool);
                 T_CHECK(out == refs[c]);
             }
         });
@@ -180,13 +186,13 @@ testCallGuardContention()
 {
     const size_t n = 32, heads = 2, dm = 16;
     Rng rng(0xca11);
-    const Matrix q = Matrix::randn(n, dm, rng, 0.0f, 0.5f);
-    const Matrix k = Matrix::randn(n, dm, rng, 0.0f, 0.5f);
-    const Matrix v = Matrix::randn(n, dm, rng);
+    const RaggedBatch q = oneImage(Matrix::randn(n, dm, rng, 0.0f, 0.5f));
+    const RaggedBatch k = oneImage(Matrix::randn(n, dm, rng, 0.0f, 0.5f));
+    const RaggedBatch v = oneImage(Matrix::randn(n, dm, rng));
 
     ThreadPool pool(2);
     MultiHeadAttention mha(makeAttention(AttentionType::Softmax), heads);
-    const Matrix ref = mha.forward(pool, q, k, v);
+    const RaggedBatch ref = mha.forwardRagged(pool, q, k, v);
 
     const int threads = 4, iters = 8;
     std::atomic<int> completed{0}, refused{0};
@@ -195,8 +201,8 @@ testCallGuardContention()
         callers.emplace_back([&] {
             for (int i = 0; i < iters; ++i) {
                 try {
-                    Matrix out;
-                    mha.forwardInto(pool, q, k, v, out);
+                    RaggedBatch out;
+                    mha.forwardRaggedInto(pool, q, k, v, out);
                     T_CHECK(out == ref);
                     completed.fetch_add(1);
                 } catch (const std::logic_error &) {
@@ -210,26 +216,34 @@ testCallGuardContention()
     T_CHECK(completed.load() + refused.load() == threads * iters);
     T_CHECK(completed.load() >= 1);
 
-    Matrix out;
-    mha.forwardInto(pool, q, k, v, out);
+    RaggedBatch out;
+    mha.forwardRaggedInto(pool, q, k, v, out);
     T_CHECK(out == ref);
 
-    // Same contract on the encoder's guard.
+    // Same contract on the encoder's guard, which the single-image
+    // view and the ragged entry point share: half the callers use each.
     const VitConfig cfg = raceConfig();
     VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
     Rng erng(0xca12);
     const Matrix x =
         Matrix::randn(cfg.tokens, cfg.dModel, erng, 0.0f, 0.5f);
+    const RaggedBatch xr = oneImage(x);
     const Matrix eref = enc.forward(x, pool);
 
     std::atomic<int> eCompleted{0}, eRefused{0};
     std::vector<std::thread> ecallers;
     for (int t = 0; t < threads; ++t) {
-        ecallers.emplace_back([&] {
+        ecallers.emplace_back([&, t] {
             for (int i = 0; i < iters; ++i) {
                 try {
                     Matrix eout;
-                    enc.forwardInto(x, pool, eout);
+                    if (t % 2) {
+                        RaggedBatch rout;
+                        enc.forwardRaggedInto(xr, pool, rout);
+                        rout.unpackImage(0, eout);
+                    } else {
+                        enc.forwardInto(x, pool, eout);
+                    }
                     T_CHECK(eout == eref);
                     eCompleted.fetch_add(1);
                 } catch (const std::logic_error &) {

@@ -6,10 +6,10 @@
  *
  * The two acceptance-grade assertions live here:
  *
- *  - keep = 1.0 parity: VitEncoder::forwardRagged over a uniform-lens
- *    batch is BITWISE-identical, per image, to forwardBatch — for the
- *    Taylor, Softmax, and Unified kernels. This is what lets the
- *    serving layer dispatch everything through the ragged path.
+ *  - keep = 1.0 parity: VitEncoder::forwardRagged over a mixed-lens
+ *    batch is BITWISE-identical, per image, to the per-image reference
+ *    built from the public stages (reference_encoder.h) — for the
+ *    Taylor, Softmax, and Unified kernels.
  *  - batch independence: in a mixed {1, 17, n} batch every image's
  *    result is bitwise-identical to a single-image ragged forward of
  *    the same input, so a request's answer never depends on what it
@@ -35,6 +35,7 @@
 #include "runtime/thread_pool.h"
 #include "sparse/csr.h"
 #include "tensor/ragged_batch.h"
+#include "reference_encoder.h"
 #include "testing.h"
 
 using namespace vitality;
@@ -132,13 +133,6 @@ testPackUnpackRoundTrip()
     RaggedBatch shorter = randomRagged({1, 9}, 6, 1);
     T_CHECK(shorter != rb); // structure mismatch, not a throw
 
-    // A uniform Batch converts losslessly.
-    const Batch ub = Batch::randn(2, 5, 6, rng);
-    const RaggedBatch urb = RaggedBatch::fromBatch(ub);
-    T_CHECK(urb.size() == 2 && urb.rowsOf(0) == 5 && urb.rowsOf(1) == 5);
-    urb.unpackImage(1, out);
-    T_CHECK(out == ub.at(1));
-
     // packFrom error paths.
     RaggedBatch dst;
     T_CHECK_THROWS(dst.packFrom(ptrs, 0), std::invalid_argument);
@@ -205,7 +199,7 @@ testRaggedAttentionParity()
         mha.forwardRaggedSequentialInto(q, k, v, outSeq);
         T_CHECK(out == outSeq);
 
-        // Per-image reference through the uniform packed path.
+        // Per-image reference through the single-image sequential path.
         Matrix qi, ki, vi, want, got;
         for (size_t i = 0; i < lens.size(); ++i) {
             q.unpackImage(i, qi);
@@ -242,15 +236,19 @@ testRaggedAttentionShapeChecks()
     const RaggedBatch empty;
     T_CHECK_THROWS(mha.forwardRaggedInto(pool, empty, empty, empty, out),
                    std::invalid_argument);
+    // A buffer reshaped behind its offsets is caught on entry.
+    RaggedBatch broken = randomRagged({3, 5}, cols, 5);
+    broken.buffer().resize(7, cols);
+    T_CHECK_THROWS(mha.forwardRaggedInto(pool, broken, q, q, out),
+                   std::invalid_argument);
 }
 
 // --------------------------------------------- encoder parity (keep=1)
 
 /**
- * THE acceptance criterion: with keep = 1.0 (the default) the ragged
- * encoder path over uniform lens is bitwise-identical per image to
- * forwardBatch, and in a mixed batch every image equals its own
- * single-image ragged forward.
+ * THE acceptance criterion: with keep = 1.0 the ragged encoder path is
+ * bitwise-identical per image to the per-image reference, and in a
+ * mixed batch every image equals its own single-image ragged forward.
  */
 void
 testEncoderRaggedKeepOneParity()
@@ -261,22 +259,20 @@ testEncoderRaggedKeepOneParity()
     // sweep too.
     cfg.tokenKeep.assign(cfg.layers, 1.0f);
     ThreadPool pool(3);
-    Rng rng(0xe11);
-    const Batch x = Batch::randn(3, cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f);
+    const RaggedBatch x =
+        randomRagged({cfg.tokens, 7, cfg.tokens}, cfg.dModel, 0xe11);
 
     for (AttentionType type :
          {AttentionType::Taylor, AttentionType::Softmax,
           AttentionType::Unified}) {
         VitEncoder enc(cfg, makeAttention(type), 0xbeef);
-        const Batch want = enc.forwardBatch(x, pool);
-
-        const RaggedBatch rx = RaggedBatch::fromBatch(x);
-        const RaggedBatch got = enc.forwardRagged(rx, pool);
-        T_CHECK(got.size() == 3);
-        Matrix img;
-        for (size_t i = 0; i < 3; ++i) {
+        const RaggedBatch got = enc.forwardRagged(x, pool);
+        T_CHECK(got.offsets() == x.offsets());
+        Matrix in, img;
+        for (size_t i = 0; i < x.size(); ++i) {
+            x.unpackImage(i, in);
             got.unpackImage(i, img);
-            T_CHECK(img == want.at(i)); // bitwise
+            T_CHECK(img == testing::referenceForward(enc, in)); // bitwise
         }
     }
 }
@@ -295,15 +291,11 @@ testEncoderRaggedBatchIndependence()
     const RaggedBatch got = enc.forwardRagged(x, pool);
     T_CHECK(got.offsets() == x.offsets()); // keep = 1.0: no shrink
 
-    Matrix in, want, out;
+    Matrix in, out;
     for (size_t i = 0; i < lens.size(); ++i) {
         x.unpackImage(i, in);
-        const Matrix *ptr = &in;
-        const RaggedBatch solo = RaggedBatch::fromMatrices(&ptr, 1);
-        const RaggedBatch ref = enc.forwardRagged(solo, pool);
-        ref.unpackImage(0, want);
         got.unpackImage(i, out);
-        T_CHECK(out == want); // bitwise
+        T_CHECK(out == testing::forwardAlone(enc, in, pool)); // bitwise
     }
 
     RaggedBatch bad = randomRagged({4}, cfg.dModel + 1, 5);
@@ -363,16 +355,15 @@ testEncoderPruningStructure()
     for (size_t i = 0; i < lens.size(); ++i)
         T_CHECK(got.rowsOf(i) == TokenPruner::keptTokens(lens[i], 0.5f));
 
-    // Same input alone prunes to the same surviving values.
-    Matrix in, want, out;
+    // Same input alone prunes to the same surviving values, and the
+    // single-image view applies the same schedule.
+    Matrix in, out;
     for (size_t i = 0; i < lens.size(); ++i) {
         x.unpackImage(i, in);
-        const Matrix *ptr = &in;
-        const RaggedBatch ref =
-            enc.forwardRagged(RaggedBatch::fromMatrices(&ptr, 1), pool);
-        ref.unpackImage(0, want);
         got.unpackImage(i, out);
-        T_CHECK(out == want);
+        T_CHECK(out == testing::forwardAlone(enc, in, pool));
+        if (lens[i] == cfg.tokens)
+            T_CHECK(out == enc.forward(in, pool));
     }
 
     // withTokenKeep builds the staged schedule; validate() rejects

@@ -1,8 +1,8 @@
 /**
  * @file
  * Runtime-layer tests: ThreadPool scheduling and exception propagation,
- * MultiHeadAttention's pooled path against both its own sequential
- * reference and a hand-rolled per-head loop over the legacy forward(),
+ * MultiHeadAttention's pooled ragged path against both the sequential
+ * references and a hand-rolled per-head loop over the legacy forward(),
  * the batched (B x heads) dispatch against per-image execution, the
  * concurrent-caller guard, and degenerate-shape rejection.
  */
@@ -19,14 +19,27 @@
 #include "runtime/call_guard.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "tensor/ragged_batch.h"
+#include "reference_encoder.h"
 #include "testing.h"
 
 using namespace vitality;
+using testing::oneImage;
 
 namespace {
+
+/** Pooled ragged forward of one packed image, unpacked. */
+Matrix
+pooledForward(MultiHeadAttention &mha, ThreadPool &pool, const Matrix &q,
+              const Matrix &k, const Matrix &v)
+{
+    Matrix out;
+    mha.forwardRagged(pool, oneImage(q), oneImage(k), oneImage(v))
+        .unpackImage(0, out);
+    return out;
+}
 
 void
 testThreadPoolRunsEverything()
@@ -261,7 +274,7 @@ testMultiHeadMatchesSequentialAndLegacy()
 
         // Pooled vs sequential: the per-head programs are identical, so
         // the packed outputs are bitwise equal regardless of scheduling.
-        const Matrix parallel_out = mha.forward(pool, q, k, v);
+        const Matrix parallel_out = pooledForward(mha, pool, q, k, v);
         const Matrix sequential_out = mha.forwardSequential(q, k, v);
         T_CHECK(parallel_out == sequential_out);
 
@@ -303,12 +316,12 @@ testMultiHeadDeterministicAcrossPoolSizes()
     AttentionKernelPtr kernel = makeAttention(AttentionType::Taylor);
     ThreadPool one(1), many(8);
     MultiHeadAttention mha_one(kernel, heads), mha_many(kernel, heads);
-    const Matrix a = mha_one.forward(one, q, k, v);
-    const Matrix b = mha_many.forward(many, q, k, v);
+    const Matrix a = pooledForward(mha_one, one, q, k, v);
+    const Matrix b = pooledForward(mha_many, many, q, k, v);
     T_CHECK(a == b);
 
     // Repeated calls on the same instance recycle and stay identical.
-    const Matrix c = mha_many.forward(many, q, k, v);
+    const Matrix c = pooledForward(mha_many, many, q, k, v);
     T_CHECK(b == c);
 }
 
@@ -320,7 +333,10 @@ testMultiHeadShapeValidation()
     MultiHeadAttention mha(kernel, 3);
     Rng rng(0x99c3);
     const Matrix bad = Matrix::randn(8, 16, rng); // 16 % 3 != 0
-    T_CHECK_THROWS(mha.forward(pool, bad, bad, bad),
+    T_CHECK_THROWS(mha.forwardSequential(bad, bad, bad),
+                   std::invalid_argument);
+    const RaggedBatch badR = oneImage(bad);
+    T_CHECK_THROWS(mha.forwardRagged(pool, badR, badR, badR),
                    std::invalid_argument);
     T_CHECK_THROWS(MultiHeadAttention(kernel, 0), std::invalid_argument);
     T_CHECK_THROWS(MultiHeadAttention(nullptr, 2), std::invalid_argument);
@@ -329,15 +345,15 @@ testMultiHeadShapeValidation()
     // producing empty output: zero tokens and zero width (d_h = 0 —
     // 0 % heads == 0, so the divisibility check alone would pass it).
     const Matrix no_tokens(0, 12);
-    T_CHECK_THROWS(mha.forward(pool, no_tokens, no_tokens, no_tokens),
+    T_CHECK_THROWS(mha.forwardSequential(no_tokens, no_tokens, no_tokens),
                    std::invalid_argument);
     const Matrix no_width(8, 0);
-    T_CHECK_THROWS(mha.forward(pool, no_width, no_width, no_width),
+    T_CHECK_THROWS(mha.forwardSequential(no_width, no_width, no_width),
                    std::invalid_argument);
     // Empty keys with non-empty queries likewise.
     const Matrix good_q = Matrix::randn(8, 12, rng);
     const Matrix no_kv(0, 12);
-    T_CHECK_THROWS(mha.forward(pool, good_q, no_kv, no_kv),
+    T_CHECK_THROWS(mha.forwardSequential(good_q, no_kv, no_kv),
                    std::invalid_argument);
 }
 
@@ -346,9 +362,19 @@ testMultiHeadBatchMatchesPerImage()
 {
     const size_t n = 23, heads = 3, dh = 8, dm = heads * dh, images = 4;
     Rng rng(0x99d4);
-    const Batch qb = Batch::randn(images, n, dm, rng, 0.0f, 0.5f);
-    const Batch kb = Batch::randn(images, n, dm, rng, 0.0f, 0.5f);
-    const Batch vb = Batch::randn(images, n, dm, rng);
+    std::vector<Matrix> qs, ks, vs;
+    for (size_t b = 0; b < images; ++b) {
+        qs.push_back(Matrix::randn(n, dm, rng, 0.0f, 0.5f));
+        ks.push_back(Matrix::randn(n, dm, rng, 0.0f, 0.5f));
+        vs.push_back(Matrix::randn(n, dm, rng));
+    }
+    auto pack = [](const std::vector<Matrix> &ms) {
+        std::vector<const Matrix *> ptrs;
+        for (const Matrix &m : ms)
+            ptrs.push_back(&m);
+        return RaggedBatch::fromMatrices(ptrs.data(), ptrs.size());
+    };
+    const RaggedBatch qb = pack(qs), kb = pack(ks), vb = pack(vs);
 
     ThreadPool pool(4);
     for (AttentionType type :
@@ -357,44 +383,21 @@ testMultiHeadBatchMatchesPerImage()
         MultiHeadAttention mha(makeAttention(type), heads);
 
         // Batched output is bitwise-identical to B per-image forwards.
-        const Batch out = mha.forwardBatch(pool, qb, kb, vb);
-        T_CHECK(out.size() == images && out.rows() == n &&
-                out.cols() == dm);
+        const RaggedBatch out = mha.forwardRagged(pool, qb, kb, vb);
+        T_CHECK(out.offsets() == qb.offsets() && out.cols() == dm);
+        Matrix img;
         for (size_t b = 0; b < images; ++b) {
-            const Matrix ref = mha.forward(pool, qb[b], kb[b], vb[b]);
-            T_CHECK(out[b] == ref);
+            out.unpackImage(b, img);
+            T_CHECK(img == pooledForward(mha, pool, qs[b], ks[b], vs[b]));
+            T_CHECK(img == mha.forwardSequential(qs[b], ks[b], vs[b]));
         }
 
         // And to the sequential batch reference.
-        const Batch seq = mha.forwardBatchSequential(qb, kb, vb);
-        T_CHECK(out == seq);
+        T_CHECK(out == mha.forwardRaggedSequential(qb, kb, vb));
 
         // Recycled rerun stays identical.
-        const Batch out2 = mha.forwardBatch(pool, qb, kb, vb);
-        T_CHECK(out == out2);
+        T_CHECK(out == mha.forwardRagged(pool, qb, kb, vb));
     }
-}
-
-void
-testMultiHeadBatchShapeValidation()
-{
-    ThreadPool pool(2);
-    MultiHeadAttention mha(makeAttention(AttentionType::Taylor), 2);
-    Rng rng(0x99e5);
-    const Batch q = Batch::randn(3, 9, 8, rng);
-    const Batch k = Batch::randn(2, 9, 8, rng); // batch size mismatch
-    T_CHECK_THROWS(mha.forwardBatch(pool, q, k, k),
-                   std::invalid_argument);
-    const Batch empty;
-    T_CHECK_THROWS(mha.forwardBatch(pool, empty, empty, empty),
-                   std::invalid_argument);
-
-    // An image reshaped behind the Batch's back is caught on entry.
-    Batch broken = Batch::randn(3, 9, 8, rng);
-    broken[1].resize(7, 8);
-    const Batch v = Batch::randn(3, 9, 8, rng);
-    T_CHECK_THROWS(mha.forwardBatch(pool, broken, v, v),
-                   std::invalid_argument);
 }
 
 /**
@@ -456,29 +459,33 @@ testMultiHeadRejectsConcurrentCalls()
     ThreadPool pool(2);
     Rng rng(0x99f6);
     const Matrix q = Matrix::randn(4, 8, rng);
+    const RaggedBatch qr = oneImage(q);
 
     // First call parks inside the kernel on a pool worker...
     std::thread first([&] {
-        Matrix out;
-        mha.forwardInto(pool, q, q, q, out);
+        RaggedBatch out;
+        mha.forwardRaggedInto(pool, qr, qr, qr, out);
     });
     kernel->waitEntered();
 
     // ...so a second call on the same instance must be refused rather
     // than silently sharing the per-worker contexts.
-    Matrix out2;
-    T_CHECK_THROWS(mha.forwardInto(pool, q, q, q, out2),
+    RaggedBatch out2;
+    T_CHECK_THROWS(mha.forwardRaggedInto(pool, qr, qr, qr, out2),
                    std::logic_error);
-    T_CHECK_THROWS(mha.forwardSequentialInto(q, q, q, out2),
+    T_CHECK_THROWS(mha.forwardRaggedSequentialInto(qr, qr, qr, out2),
+                   std::logic_error);
+    Matrix mout;
+    T_CHECK_THROWS(mha.forwardSequentialInto(q, q, q, mout),
                    std::logic_error);
 
     kernel->release();
     first.join();
 
     // Once the first call drains, the instance is usable again.
-    Matrix out3;
-    mha.forwardInto(pool, q, q, q, out3);
-    T_CHECK(out3 == q);
+    RaggedBatch out3;
+    mha.forwardRaggedInto(pool, qr, qr, qr, out3);
+    T_CHECK(out3 == qr);
 }
 
 } // namespace
@@ -497,7 +504,6 @@ main()
     testMultiHeadDeterministicAcrossPoolSizes();
     testMultiHeadShapeValidation();
     testMultiHeadBatchMatchesPerImage();
-    testMultiHeadBatchShapeValidation();
     testMultiHeadRejectsConcurrentCalls();
     return vitality::testing::finish("test_runtime");
 }

@@ -17,13 +17,13 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "attention/zoo.h"
 #include "base/rng.h"
-#include "model/request_batch.h"
 #include "model/token_pruner.h"
 #include "model/vit_config.h"
 #include "model/vit_encoder.h"
@@ -33,6 +33,7 @@
 #include "serve/latency_reservoir.h"
 #include "serve/model_server.h"
 #include "tensor/gemm.h"
+#include "reference_encoder.h"
 #include "testing.h"
 
 using namespace vitality;
@@ -56,23 +57,14 @@ randomTokens(const VitConfig &cfg, uint64_t seed)
 }
 
 /**
- * The direct-forward twin of one served request: a single-image ragged
- * forward. This is the reference the serving layer promises bitwise
- * identity against — it honors whatever token-keep schedule is in
- * effect, so the identity assertions below hold unchanged when the
- * suite runs under a VITALITY_TOKENS pruning sweep (the CI keep-ratio
- * legs), where served outputs carry fewer rows than inputs.
+ * The direct-forward twin of one served request is a single-image
+ * ragged forward (testing::forwardAlone): it honors whatever token-keep
+ * schedule is in effect, so the identity assertions below hold
+ * unchanged when the suite runs under a VITALITY_TOKENS pruning sweep
+ * (the CI keep-ratio legs), where served outputs carry fewer rows than
+ * inputs.
  */
-Matrix
-refForward(VitEncoder &encoder, const Matrix &in, ThreadPool &pool)
-{
-    const Matrix *ptr = &in;
-    const RaggedBatch out =
-        encoder.forwardRagged(RaggedBatch::fromMatrices(&ptr, 1), pool);
-    Matrix img;
-    out.unpackImage(0, img);
-    return img;
-}
+using testing::forwardAlone;
 
 // ---------------------------------------------------------------- zoo
 
@@ -105,42 +97,6 @@ testMakeAttentionThreshold()
     T_CHECK_THROWS(makeAttention(AttentionType::Taylor, 0.1f),
                    std::invalid_argument);
     T_CHECK_THROWS(makeAttention(AttentionType::Softmax, 0.1f),
-                   std::invalid_argument);
-}
-
-// ---------------------------------------------- pack/unpack helpers
-
-void
-testPackUnpack()
-{
-    Rng rng(7);
-    std::vector<Matrix> imgs;
-    for (int i = 0; i < 3; ++i)
-        imgs.push_back(Matrix::randn(4, 5, rng));
-    std::vector<const Matrix *> ptrs;
-    for (const Matrix &m : imgs)
-        ptrs.push_back(&m);
-
-    Batch packed;
-    packRequests(packed, ptrs.data(), ptrs.size());
-    T_CHECK(packed.size() == 3 && packed.rows() == 4 &&
-            packed.cols() == 5);
-    for (size_t i = 0; i < 3; ++i)
-        T_CHECK(packed[i] == imgs[i]);
-
-    Matrix out;
-    unpackImage(packed, 2, out);
-    T_CHECK(out == imgs[2]);
-    T_CHECK_THROWS(unpackImage(packed, 3, out), std::out_of_range);
-
-    T_CHECK_THROWS(packRequests(packed, ptrs.data(), 0),
-                   std::invalid_argument);
-    const Matrix odd(4, 6);
-    ptrs[1] = &odd;
-    T_CHECK_THROWS(packRequests(packed, ptrs.data(), ptrs.size()),
-                   std::invalid_argument);
-    ptrs[1] = nullptr;
-    T_CHECK_THROWS(packRequests(packed, ptrs.data(), ptrs.size()),
                    std::invalid_argument);
 }
 
@@ -286,8 +242,8 @@ testServedBitwiseIdentity()
         VitEncoder reference(cfg, makeAttention(type), 0xabc);
         const Matrix in0 = randomTokens(cfg, 11);
         const Matrix in1 = randomTokens(cfg, 22);
-        const Matrix want0 = refForward(reference, in0, pool);
-        const Matrix want1 = refForward(reference, in1, pool);
+        const Matrix want0 = forwardAlone(reference, in0, pool);
+        const Matrix want1 = forwardAlone(reference, in1, pool);
 
         VitEncoder served(cfg, makeAttention(type), 0xabc);
         BatchPolicy policy;
@@ -465,6 +421,45 @@ testSubmitShapeValidation()
 }
 
 /**
+ * A non-finite request fails alone at the ingress: NaN and Inf inputs
+ * get BadRequest from submit, and a finite request submitted around
+ * them is served and equals its standalone forward.
+ */
+void
+testNonFiniteRequestFailsAlone()
+{
+    const VitConfig cfg = tinyConfig();
+    ThreadPool pool(1);
+    VitEncoder reference(cfg, makeAttention(AttentionType::Taylor), 0x4);
+    const Matrix good = randomTokens(cfg, 0x4e);
+    const Matrix want = reference.forward(good, pool);
+    Matrix nan = good, inf = good;
+    nan(3, 5) = std::numeric_limits<float>::quiet_NaN();
+    inf(0, 0) = -std::numeric_limits<float>::infinity();
+
+    VitEncoder served(cfg, makeAttention(AttentionType::Taylor), 0x4);
+    BatchPolicy policy;
+    policy.maxBatch = 4;
+    policy.maxWaitMicros = 5000;
+    DynamicBatcher batcher(served, pool, policy);
+    std::future<InferenceResponse> before = batcher.submit(good);
+    for (const Matrix *bad : {&nan, &inf}) {
+        try {
+            batcher.submit(*bad);
+            T_CHECK(false && "submit accepted a non-finite input");
+        } catch (const ServeError &e) {
+            T_CHECK(e.code() == ServeErrorCode::BadRequest);
+        }
+    }
+    std::future<InferenceResponse> after = batcher.submit(good);
+    T_CHECK(before.get().output == want);
+    T_CHECK(after.get().output == want);
+    batcher.shutdown();
+    const BatcherStats s = batcher.stats();
+    T_CHECK(s.submitted == 2 && s.served == 2 && s.errors == 0);
+}
+
+/**
  * Mixed token counts ride one batcher: every request's result equals
  * its own single-image ragged forward (whatever it was batched with),
  * and the token-level stats account for the accepted input rows.
@@ -485,7 +480,7 @@ testMixedTokenCountServing()
     }
     std::vector<Matrix> wants;
     for (const Matrix &in : inputs)
-        wants.push_back(refForward(reference, in, pool));
+        wants.push_back(forwardAlone(reference, in, pool));
 
     VitEncoder served(cfg, makeAttention(AttentionType::Taylor), 0x9);
     BatchPolicy policy;
@@ -538,7 +533,7 @@ testModelServerRegistryAndRouting()
     // And each equals its direct-encoder twin, bitwise.
     ThreadPool pool(2);
     VitEncoder ref(cfg, makeAttention(AttentionType::Taylor), 0x111);
-    T_CHECK(outT == refForward(ref, in, pool));
+    T_CHECK(outT == forwardAlone(ref, in, pool));
 
     T_CHECK_THROWS(server.submit("nope/Nope", in), ServeError);
     T_CHECK_THROWS(server.stats("nope/Nope"), ServeError);
@@ -605,7 +600,7 @@ testModelServerPinnedOptions()
     {
         setSparseExecMode(SparseExec::Dense);
         VitEncoder ref(cfg, makeAttention(AttentionType::Unified), 0x7);
-        wantDense = refForward(ref, in, pool);
+        wantDense = forwardAlone(ref, in, pool);
         setSparseExecMode(ambient);
     }
 
@@ -673,7 +668,7 @@ testConcurrentSubmitStress()
     ThreadPool refPool(2);
     VitEncoder ref(cfg, makeAttention(AttentionType::Taylor));
     const Matrix in = randomTokens(cfg, 13);
-    const Matrix want = refForward(ref, in, refPool);
+    const Matrix want = forwardAlone(ref, in, refPool);
 
     constexpr int kThreads = 4, kPerThread = 6;
     std::atomic<int> matches{0};
@@ -705,7 +700,6 @@ main()
 {
     testKernelNameRoundTrip();
     testMakeAttentionThreshold();
-    testPackUnpack();
     testLatencyReservoir();
     testRuntimeOptionsResolution();
     testParseHelpers();
@@ -716,6 +710,7 @@ main()
     testQueueFullRejection();
     testShutdownDrainsInFlight();
     testSubmitShapeValidation();
+    testNonFiniteRequestFailsAlone();
     testMixedTokenCountServing();
     testModelServerRegistryAndRouting();
     testModelServerConfigValidation();
